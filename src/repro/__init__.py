@@ -8,10 +8,8 @@ The top-level namespace re-exports the pieces most users need:
 * :class:`~repro.devices.Device` and the topology generators,
 * the benchmark circuit generators (:func:`~repro.workloads.benchmark_circuit`),
 * the :class:`~repro.core.ColorDynamic` compiler and the Table I baselines,
-* the worst-case success estimator (:func:`~repro.noise.estimate_success`)
-  and its incremental form (:class:`~repro.noise.IncrementalEstimator`),
-* the step-admission policies (:class:`~repro.core.StepAdmission`,
-  ``admission="structural" | "success"`` on every compiler), and
+* the worst-case success estimator (:func:`~repro.noise.estimate_success`),
+  and
 * the compilation service (:class:`~repro.service.CompileService`,
   :class:`~repro.service.ProgramStore`) behind the on-disk program cache.
 
@@ -31,14 +29,10 @@ Quickstart::
 from .circuits import Circuit, Gate, decompose_circuit, route_circuit
 from .devices import Device, TransmonParams, Transmon, topology_by_name
 from .program import CompiledProgram, TimeStep, Interaction
-from .noise import IncrementalEstimator, NoiseModel, estimate_success, success_rate
+from .noise import NoiseModel, estimate_success, success_rate
 from .core import (
-    ADMISSION_POLICIES,
     ColorDynamic,
     CompilationResult,
-    StepAdmission,
-    StructuralAdmission,
-    SuccessAdmission,
     build_crosstalk_graph,
     welsh_powell_coloring,
     solve_max_separation,
@@ -69,14 +63,9 @@ __all__ = [
     "CompiledProgram",
     "TimeStep",
     "Interaction",
-    "IncrementalEstimator",
     "NoiseModel",
     "estimate_success",
     "success_rate",
-    "ADMISSION_POLICIES",
-    "StepAdmission",
-    "StructuralAdmission",
-    "SuccessAdmission",
     "ColorDynamic",
     "CompilationResult",
     "build_crosstalk_graph",

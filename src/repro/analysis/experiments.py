@@ -63,7 +63,6 @@ __all__ = [
     "StrategyOutcome",
     "SweepJob",
     "SweepRunner",
-    "admission_comparison",
     "clear_sweep_caches",
     "fig02_interaction_strength",
     "fig07_mesh_coloring",
@@ -157,14 +156,11 @@ def compile_with(
     noise_model: Optional[NoiseModel] = None,
     seed: int = _DEFAULT_SEED,
     max_colors: Optional[int] = None,
-    admission: str = "structural",
 ) -> StrategyOutcome:
     """Compile one benchmark with one strategy and evaluate it."""
     device = device or build_device_for(benchmark, seed=seed)
     circuit = benchmark_circuit(benchmark, seed=seed)
-    compiler = make_compiler(
-        strategy, device, max_colors=max_colors, admission=admission
-    )
+    compiler = make_compiler(strategy, device, max_colors=max_colors)
     result: CompilationResult = compiler.compile(circuit)
     return _evaluate(benchmark, strategy, result, noise_model or NoiseModel())
 
@@ -189,7 +185,6 @@ class SweepJob:
     max_colors: Optional[int] = None
     noise_model: Optional[NoiseModel] = None
     key: Optional[Hashable] = None
-    admission: str = "structural"
 
 
 # Per-process memo of compiled programs so a worker compiles each grid point
@@ -200,7 +195,7 @@ class SweepJob:
 # compiler identity lives in exactly one place, the
 # :class:`~repro.service.CompileService` value-keyed memos that
 # ``service.compile`` resolves a job through.
-_ProgramKey = Tuple[str, str, str, int, Optional[int], str]
+_ProgramKey = Tuple[str, str, str, int, Optional[int]]
 _PROGRAM_CACHE: Dict[_ProgramKey, CompilationResult] = {}
 # Per-key locks so thread-pool sweeps compile each distinct grid point
 # exactly once (two threads hitting the same cold key serialize on the key,
@@ -218,8 +213,11 @@ def clear_sweep_caches() -> None:
 
 def _cached_compilation(job: SweepJob) -> CompilationResult:
     program_key: _ProgramKey = (
-        job.strategy, job.benchmark, job.topology, job.seed, job.max_colors,
-        job.admission,
+        job.strategy,
+        job.benchmark,
+        job.topology,
+        job.seed,
+        job.max_colors,
     )
     result = _PROGRAM_CACHE.get(program_key)
     if result is not None:
@@ -241,7 +239,6 @@ def _cached_compilation(job: SweepJob) -> CompilationResult:
                     topology=job.topology,
                     seed=job.seed,
                     max_colors=job.max_colors,
-                    admission=job.admission,
                 )
             )
             _PROGRAM_CACHE[program_key] = result
@@ -482,7 +479,6 @@ def figure_compile_jobs(
     name: str,
     benchmarks: Optional[Sequence[str]] = None,
     seed: int = _DEFAULT_SEED,
-    admission: str = "structural",
 ) -> List[CompileJob]:
     """The distinct compilations a figure sweep needs, as service jobs.
 
@@ -520,10 +516,7 @@ def figure_compile_jobs(
             f"figure {name!r} has no compile grid to warm; use fig09-fig13"
         )
     return [
-        CompileJob(
-            benchmark=b, strategy=s, topology=t, seed=seed, max_colors=k,
-            admission=admission,
-        )
+        CompileJob(benchmark=b, strategy=s, topology=t, seed=seed, max_colors=k)
         for b, s, t, k in grid
     ]
 
@@ -577,7 +570,6 @@ def fig09_success_rates(
     seed: int = _DEFAULT_SEED,
     runner: Optional[SweepRunner] = None,
     max_workers: Optional[int] = None,
-    admission: str = "structural",
 ) -> Dict[str, Dict[str, StrategyOutcome]]:
     """Success rate of every strategy on every benchmark (the Fig. 9 bars)."""
     benchmarks = list(benchmarks) if benchmarks is not None else fig09_benchmarks()
@@ -590,7 +582,6 @@ def fig09_success_rates(
             strategy=strategy,
             seed=seed,
             noise_model=noise_model,
-            admission=admission,
         )
         for benchmark in benchmarks
         for strategy in strategies
@@ -600,36 +591,6 @@ def fig09_success_rates(
     for job, outcome in zip(jobs, outcomes):
         results[job.benchmark][job.strategy] = outcome
     return results
-
-
-def admission_comparison(
-    benchmarks: Optional[Sequence[str]] = None,
-    strategies: Sequence[str] = STRATEGIES,
-    seed: int = _DEFAULT_SEED,
-    runner: Optional[SweepRunner] = None,
-    max_workers: Optional[int] = None,
-) -> Dict[str, Dict[str, Dict[str, StrategyOutcome]]]:
-    """The Fig. 9 grid under both admission policies.
-
-    Runs every (benchmark x strategy) point of the Fig. 9 grid twice — once
-    with the structural (criticality-order) admission policy and once with
-    the success-aware policy — so the two schedules can be compared under
-    the same Eq. (4) noise model.  Returns
-    ``results[admission][benchmark][strategy]``; ``python -m repro
-    admission-report`` renders the comparison (and the committed
-    ``docs/reports/admission-fig09.md`` is its output).
-    """
-    return {
-        policy: fig09_success_rates(
-            benchmarks=benchmarks,
-            strategies=strategies,
-            seed=seed,
-            runner=runner,
-            max_workers=max_workers,
-            admission=policy,
-        )
-        for policy in ("structural", "success")
-    }
 
 
 def headline_improvement(
@@ -664,7 +625,6 @@ def fig10_depth_decoherence(
     seed: int = _DEFAULT_SEED,
     runner: Optional[SweepRunner] = None,
     max_workers: Optional[int] = None,
-    admission: str = "structural",
 ) -> Dict[str, Dict[str, StrategyOutcome]]:
     """Depth and decoherence error of the XEB sweep (the two panels of Fig. 10)."""
     benchmarks = list(benchmarks) if benchmarks is not None else fig10_benchmarks()
@@ -675,7 +635,6 @@ def fig10_depth_decoherence(
         seed=seed,
         runner=runner,
         max_workers=max_workers,
-        admission=admission,
     )
 
 
@@ -689,7 +648,6 @@ def fig11_color_sweep(
     seed: int = _DEFAULT_SEED,
     runner: Optional[SweepRunner] = None,
     max_workers: Optional[int] = None,
-    admission: str = "structural",
 ) -> Dict[str, Dict[int, StrategyOutcome]]:
     """ColorDynamic success rate as the interaction-frequency budget varies."""
     benchmarks = list(benchmarks) if benchmarks is not None else fig11_benchmarks()
@@ -702,7 +660,6 @@ def fig11_color_sweep(
             max_colors=budget,
             noise_model=noise_model,
             key=budget,
-            admission=admission,
         )
         for benchmark in benchmarks
         for budget in max_colors_values
@@ -724,7 +681,6 @@ def fig12_residual_coupling(
     seed: int = _DEFAULT_SEED,
     runner: Optional[SweepRunner] = None,
     max_workers: Optional[int] = None,
-    admission: str = "structural",
 ) -> Dict[str, Dict[float, float]]:
     """Baseline G success rate as deactivated couplers leak residual coupling.
 
@@ -742,7 +698,6 @@ def fig12_residual_coupling(
             seed=seed,
             noise_model=base_model.with_residual_coupling(factor),
             key=factor,
-            admission=admission,
         )
         for benchmark in benchmarks
         for factor in factors
@@ -765,7 +720,6 @@ def fig13_connectivity(
     seed: int = _DEFAULT_SEED,
     runner: Optional[SweepRunner] = None,
     max_workers: Optional[int] = None,
-    admission: str = "structural",
 ) -> Dict[str, Dict[str, Dict[str, StrategyOutcome]]]:
     """Success / colors / compile time across the express-cube topology family.
 
@@ -783,7 +737,6 @@ def fig13_connectivity(
             topology=topology,
             seed=seed,
             noise_model=noise_model,
-            admission=admission,
         )
         for benchmark in benchmarks
         for topology in topologies
@@ -805,12 +758,11 @@ def fig14_example_frequencies(
     side: int = 4,
     cycles: int = 1,
     seed: int = _DEFAULT_SEED,
-    admission: str = "structural",
 ) -> Dict[str, object]:
     """Idle and interaction frequencies ColorDynamic picks for a 4x4 XEB layer."""
     n = side * side
     device = Device.grid(n, seed=seed)
-    compiler = ColorDynamic(device, admission=admission)
+    compiler = ColorDynamic(device)
     circuit = benchmark_circuit(f"xeb({n},{cycles})", seed=seed)
     result = compiler.compile(circuit)
 

@@ -18,7 +18,6 @@ __all__ = [
     "arithmetic_mean",
     "improvement_ratios",
     "format_series",
-    "admission_report_markdown",
 ]
 
 
@@ -92,88 +91,3 @@ def format_series(name: str, xs: Sequence[object], ys: Sequence[float]) -> str:
     """Format a named (x, y) series the way the figure benches print them."""
     pairs = ", ".join(f"{x}: {y:.4g}" for x, y in zip(xs, ys))
     return f"{name}: {pairs}"
-
-
-def admission_report_markdown(comparison: Mapping[str, Mapping], seed: int) -> str:
-    """Render an :func:`~repro.analysis.admission_comparison` result as Markdown.
-
-    *comparison* is ``results[admission][benchmark][strategy]`` (each leaf a
-    :class:`~repro.analysis.StrategyOutcome`); the output is the committed
-    ``docs/reports/admission-fig09.md``.  Per strategy, every benchmark row
-    shows the predicted Eq. (4) success under both policies and their
-    ratio; the summary lists per-strategy mean ratios and the points where
-    the success-aware policy strictly improves or regresses.
-    """
-    structural = comparison["structural"]
-    success = comparison["success"]
-    benchmarks = list(structural)
-    strategies = list(next(iter(structural.values())))
-
-    lines = [
-        "# Structural vs success-aware admission on the Fig. 9 grid",
-        "",
-        f"Generated by `python -m repro admission-report` (seed {seed}).",
-        "",
-        "Predicted worst-case success rate (Eq. (4), default noise model) of",
-        "every Fig. 9 grid point compiled with `admission=\"structural\"`",
-        "(criticality order, the paper's behavior) and `admission=\"success\"`",
-        "(the scheduler admits the candidate step composition maximizing the",
-        "`IncrementalEstimator.preview_step` prediction; beam 4).",
-        "",
-    ]
-
-    improved: list = []
-    regressed: list = []
-    # Ratios this close to 1 are float dust from reordered reductions, not a
-    # different schedule; don't flag them either way.
-    tolerance = 1e-4
-    for strategy in strategies:
-        lines += [f"## {strategy}", ""]
-        lines.append("| benchmark | structural | success | ratio |")
-        lines.append("|---|---|---|---|")
-        ratios = []
-        for bench in benchmarks:
-            s = structural[bench][strategy].success_rate
-            g = success[bench][strategy].success_rate
-            ratio = g / s if s > 0 else float("nan")
-            ratios.append(ratio)
-            if ratio > 1.0 + tolerance:
-                improved.append((strategy, bench, ratio))
-            elif ratio < 1.0 - tolerance:
-                regressed.append((strategy, bench, ratio))
-            flag = " **+**" if ratio > 1.0 + tolerance else ""
-            lines.append(
-                f"| {bench} | {s:.6g} | {g:.6g} | {ratio:.4f}{flag} |"
-            )
-        lines += [
-            "",
-            f"Mean success ratio (success / structural): "
-            f"**{arithmetic_mean(ratios):.4f}** arithmetic, "
-            f"{geometric_mean(ratios):.4f} geometric.",
-            "",
-        ]
-
-    lines += ["## Summary", ""]
-    if improved:
-        lines.append(
-            f"The success-aware policy strictly improves "
-            f"{len(improved)} grid point(s):"
-        )
-        lines.append("")
-        for strategy, bench, ratio in sorted(improved, key=lambda r: -r[2]):
-            lines.append(f"- {strategy} on `{bench}`: {ratio:.4f}x")
-    else:
-        lines.append("The success-aware policy improved no grid point.")
-    lines.append("")
-    if regressed:
-        lines.append(
-            f"It regresses {len(regressed)} point(s) — the per-cycle greedy "
-            "choice maximizes the prediction for the step being emitted, not "
-            "for the whole remaining program, so deferred gates can cost "
-            "more later (see `docs/architecture.md`):"
-        )
-        lines.append("")
-        for strategy, bench, ratio in sorted(regressed, key=lambda r: r[2]):
-            lines.append(f"- {strategy} on `{bench}`: {ratio:.4f}x")
-        lines.append("")
-    return "\n".join(lines) + "\n"

@@ -17,10 +17,9 @@ from __future__ import annotations
 
 import time
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..circuits import Circuit
-from ..core.admission import ADMISSION_POLICIES, StepAdmission, SuccessAdmission
 from ..core.coloring import GraphIndex
 from ..core.compiler import CompilationResult, prepare_native_circuit
 from ..core.crosstalk_graph import build_crosstalk_graph
@@ -31,9 +30,6 @@ from ..devices import Device
 from ..noise.flux import tuning_overhead_ns
 from ..obs import span as _span
 from ..program import CompiledProgram, Interaction, TimeStep
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..noise.incremental import IncrementalEstimator
 
 __all__ = ["BaselineCompiler"]
 
@@ -54,24 +50,13 @@ class BaselineCompiler(ABC):
         crosstalk_distance: int = 1,
         use_routing: bool = True,
         indexed_kernels: bool = True,
-        admission: str = "structural",
-        admission_beam: int = 4,
     ) -> None:
-        if admission not in ADMISSION_POLICIES:
-            raise ValueError(
-                f"unknown admission policy {admission!r}; use one of "
-                f"{ADMISSION_POLICIES}"
-            )
-        if admission_beam < 1:
-            raise ValueError("admission_beam must be at least 1")
         self.device = device
         self.decomposition = decomposition
         self.partition = partition or default_partition(device)
         self.crosstalk_distance = crosstalk_distance
         self.use_routing = use_routing
         self.indexed_kernels = indexed_kernels
-        self.admission = admission
-        self.admission_beam = admission_beam
         self.crosstalk_graph = build_crosstalk_graph(device.graph, crosstalk_distance)
         # Built on demand by the subclasses whose schedulers consult the
         # crosstalk graph (Baseline U); N and G schedule without one.
@@ -128,8 +113,6 @@ class BaselineCompiler(ABC):
             ],
             "use_routing": self.use_routing,
             "indexed_kernels": self.indexed_kernels,
-            "admission": self.admission,
-            "admission_beam": self.admission_beam,
         }
         signature.update(self._signature_extras())
         return signature
@@ -151,35 +134,8 @@ class BaselineCompiler(ABC):
             memoize=self.indexed_kernels,
         )
 
-    def _make_admission(self, build_step) -> Optional[StepAdmission]:
-        """Admission policy for one compile, or ``None`` for structural.
-
-        Mirrors :meth:`repro.core.ColorDynamic._make_admission`: the
-        ``"success"`` policy always scores candidates with its own fresh
-        :class:`~repro.noise.IncrementalEstimator` under the default noise
-        model, keeping the emitted program a pure function of
-        :meth:`cache_signature` plus the circuit.
-        """
-        if self.admission != "success":
-            return None
-        from ..noise.incremental import IncrementalEstimator
-
-        return SuccessAdmission(
-            IncrementalEstimator(self.device), build_step, beam=self.admission_beam
-        )
-
-    def compile(
-        self,
-        circuit: Circuit,
-        name: Optional[str] = None,
-        estimator: Optional["IncrementalEstimator"] = None,
-    ) -> CompilationResult:
-        """Compile *circuit* with this baseline's scheduling and frequency policy.
-
-        Like :meth:`repro.core.ColorDynamic.compile`, an optional
-        :class:`~repro.noise.IncrementalEstimator` receives every time step
-        as the scheduler finalizes it.
-        """
+    def compile(self, circuit: Circuit, name: Optional[str] = None) -> CompilationResult:
+        """Compile *circuit* with this baseline's scheduling and frequency policy."""
         start = time.perf_counter()
         # Paired manually, as in ColorDynamic.compile: a failed compile
         # abandons the span unrecorded.
@@ -211,8 +167,9 @@ class BaselineCompiler(ABC):
             )
         )
 
-        def annotate(sched_step: ScheduledStep) -> TimeStep:
-            """Frequency-annotate one scheduled step (no side effects)."""
+        def emit(sched_step: ScheduledStep) -> None:
+            """Frequency-annotate one finalized step and append it."""
+            nonlocal previous
             interactions = [
                 make_interaction(
                     coupling,
@@ -229,31 +186,21 @@ class BaselineCompiler(ABC):
                 frequencies = step_frequencies(self.device, idle, interactions)
             duration = sched_step.base_duration_ns
             duration += tuning_overhead_ns(previous, frequencies, settle_time_ns=settle)
-            return TimeStep(
+            step = TimeStep(
                 gates=sched_step.gates,
                 frequencies=frequencies,
                 interactions=interactions,
                 duration_ns=duration,
                 active_couplers=self._active_couplers(sched_step),
             )
-
-        admission = self._make_admission(annotate)
-
-        def emit(sched_step: ScheduledStep) -> None:
-            nonlocal previous
-            step = annotate(sched_step)
             steps.append(step)
-            if estimator is not None:
-                estimator.append_step(step)
-            if admission is not None:
-                admission.observe(step)
             colors_per_step.append(
                 len({round(i.frequency, 6) for i in step.interactions})
             )
             previous = step.frequencies
 
         with _span("schedule"):
-            scheduler.schedule(native, on_step=emit, admission=admission)
+            scheduler.schedule(native, on_step=emit)
 
         elapsed = time.perf_counter() - start
         compile_span.__exit__(None, None, None)

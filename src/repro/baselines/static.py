@@ -35,8 +35,6 @@ class BaselineStatic:
         crosstalk_distance: int = 1,
         use_routing: bool = True,
         indexed_kernels: bool = True,
-        admission: str = "structural",
-        admission_beam: int = 4,
     ) -> None:
         # Baseline S shares ColorDynamic's machinery but with dynamic
         # re-coloring disabled and without parallelism throttling (the static
@@ -51,13 +49,9 @@ class BaselineStatic:
             dynamic=False,
             use_routing=use_routing,
             indexed_kernels=indexed_kernels,
-            admission=admission,
-            admission_beam=admission_beam,
         )
         self.device = self._compiler.device
         self.indexed_kernels = indexed_kernels
-        self.admission = admission
-        self.admission_beam = admission_beam
 
     def cache_signature(self) -> dict:
         """Delegate to the wrapped ColorDynamic instance, tagged with this class.
@@ -70,10 +64,8 @@ class BaselineStatic:
         signature["class"] = type(self).__name__
         return signature
 
-    def compile(
-        self, circuit, name: Optional[str] = None, estimator=None
-    ) -> CompilationResult:
+    def compile(self, circuit, name: Optional[str] = None) -> CompilationResult:
         """Compile *circuit* using the static full-graph frequency assignment."""
-        result = self._compiler.compile(circuit, name=name, estimator=estimator)
+        result = self._compiler.compile(circuit, name=name)
         result.program.strategy = self.name
         return result

@@ -4,8 +4,6 @@ Usage (after ``pip install -e .``)::
 
     python -m repro compile --benchmark "xeb(16,5)" --strategy ColorDynamic
     python -m repro compare --benchmark "xeb(16,10)"
-    python -m repro compare --benchmark "xeb(16,10)" --admission success
-    python -m repro admission-report --out docs/reports/admission-fig09.md
     python -m repro figure fig09 --benchmarks "bv(9)" "xeb(16,5)"
     python -m repro figure fig09 --workers 8     # parallel sweep processes
     python -m repro figure fig12 --cache-dir /tmp/repro-cache
@@ -43,11 +41,7 @@ requires ``Authorization: Bearer`` on mutating and compile routes, and
 ``--max-pending``/``--max-payload-bytes`` bound the compile queue and the
 accepted request size (the queue answers 429 + ``Retry-After`` when full).
 
-``--admission {structural,success}`` (on ``compile``, ``compare``,
-``figure`` and ``cache warm``) selects the scheduler's step-admission
-policy; ``admission-report`` compares the two over the Fig. 9 grid (the
-committed ``docs/reports/admission-fig09.md`` is its output).  Every
-``--help`` epilog lists the ``REPRO_*`` environment variables the command
+Every ``--help`` epilog lists the ``REPRO_*`` environment variables the command
 reads, rendered from the shared :mod:`repro.envvars` table.
 """
 
@@ -64,7 +58,6 @@ from .analysis import (
     FIG10_STRATEGIES,
     STRATEGIES,
     SweepRunner,
-    admission_comparison,
     build_device_for,
     compile_with,
     fig02_interaction_strength,
@@ -79,8 +72,6 @@ from .analysis import (
     format_table,
     headline_improvement,
 )
-from .analysis.report import admission_report_markdown
-from .core import ADMISSION_POLICIES
 from .envvars import format_epilog, read_env
 from .service import (
     CompileService,
@@ -123,15 +114,6 @@ def build_parser() -> argparse.ArgumentParser:
             formatter_class=argparse.RawDescriptionHelpFormatter,
         )
 
-    def add_admission_flag(cmd: argparse.ArgumentParser) -> None:
-        cmd.add_argument(
-            "--admission",
-            default="structural",
-            choices=list(ADMISSION_POLICIES),
-            help="step-admission policy: structural (criticality order, the "
-            "default) or success (estimator-guided placement)",
-        )
-
     compile_cmd = add_command("compile", "compile one benchmark with one strategy")
     compile_cmd.add_argument("--benchmark", required=True, help='e.g. "xeb(16,5)" or "bv(9)"')
     compile_cmd.add_argument("--strategy", default="ColorDynamic", choices=list(STRATEGIES))
@@ -139,7 +121,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--topology", default="grid", help="device topology (grid, linear, 1EX-3, ...)"
     )
     compile_cmd.add_argument("--seed", type=int, default=2020)
-    add_admission_flag(compile_cmd)
     compile_cmd.add_argument(
         "--trace",
         default=None,
@@ -152,25 +133,6 @@ def build_parser() -> argparse.ArgumentParser:
     compare_cmd.add_argument("--benchmark", required=True)
     compare_cmd.add_argument("--topology", default="grid")
     compare_cmd.add_argument("--seed", type=int, default=2020)
-    add_admission_flag(compare_cmd)
-
-    report_cmd = add_command(
-        "admission-report",
-        "compare structural vs success admission on the Fig. 9 grid",
-    )
-    report_cmd.add_argument(
-        "--benchmarks", nargs="*", default=None, help="optional benchmark subset"
-    )
-    report_cmd.add_argument("--seed", type=int, default=2020)
-    report_cmd.add_argument(
-        "--workers", type=int, default=None, help="parallel sweep processes"
-    )
-    report_cmd.add_argument(
-        "--out",
-        default="-",
-        help="write the Markdown report here ('-' prints to stdout; "
-        "docs/reports/admission-fig09.md is this command's committed output)",
-    )
 
     figure_cmd = add_command("figure", "regenerate one of the paper's figures")
     figure_cmd.add_argument(
@@ -218,7 +180,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="LRU byte budget for the local store "
         "(default: REPRO_CACHE_MAX_BYTES or unbounded)",
     )
-    add_admission_flag(figure_cmd)
     figure_cmd.add_argument(
         "--trace",
         default=None,
@@ -264,12 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
                 default=None,
                 metavar="URL",
                 help="also publish warmed programs to this cache server",
-            )
-            cache_sub_cmd.add_argument(
-                "--admission",
-                default="structural",
-                choices=list(ADMISSION_POLICIES),
-                help="warm the grid compiled under this admission policy",
             )
         elif sub_name == "serve":
             from .service.server import DEFAULT_MAX_PAYLOAD_BYTES, DEFAULT_MAX_PENDING
@@ -382,7 +337,6 @@ def _run_compile(args: argparse.Namespace) -> int:
         args.benchmark,
         device=device,
         seed=args.seed,
-        admission=args.admission,
     )
     rows = [
         ["strategy", outcome.strategy],
@@ -404,13 +358,7 @@ def _run_compare(args: argparse.Namespace) -> int:
     device = build_device_for(args.benchmark, topology=args.topology, seed=args.seed)
     rows = []
     for strategy in STRATEGIES:
-        outcome = compile_with(
-            strategy,
-            args.benchmark,
-            device=device,
-            seed=args.seed,
-            admission=args.admission,
-        )
+        outcome = compile_with(strategy, args.benchmark, device=device, seed=args.seed)
         rows.append(
             [
                 strategy,
@@ -425,25 +373,9 @@ def _run_compare(args: argparse.Namespace) -> int:
             ["strategy", "success", "depth", "duration (ns)", "colors"],
             rows,
             float_format="{:.4g}",
-            title=f"Strategy comparison on {args.benchmark} "
-            f"({args.topology}, {args.admission} admission)",
+            title=f"Strategy comparison on {args.benchmark} ({args.topology})",
         )
     )
-    return 0
-
-
-def _run_admission_report(args: argparse.Namespace) -> int:
-    runner = SweepRunner(max_workers=args.workers)
-    comparison = admission_comparison(
-        benchmarks=args.benchmarks or None, seed=args.seed, runner=runner
-    )
-    markdown = admission_report_markdown(comparison, seed=args.seed)
-    if args.out == "-":
-        print(markdown, end="")
-    else:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(markdown)
-        print(f"wrote {args.out}")
     return 0
 
 
@@ -473,7 +405,6 @@ def _run_figure(args: argparse.Namespace) -> int:
         cache_max_bytes=getattr(args, "max_bytes", None),
         remote_compile=getattr(args, "remote_compile", None),
     )
-    admission = getattr(args, "admission", "structural")
     if name == "fig02":
         data = fig02_interaction_strength()
         rows = list(zip(data["omega_a"][::10], data["strength"][::10]))
@@ -482,9 +413,7 @@ def _run_figure(args: argparse.Namespace) -> int:
         data = fig07_mesh_coloring()
         print(format_table(["key", "value"], sorted(data.items()), title="Fig. 7"))
     elif name == "fig09":
-        results = fig09_success_rates(
-            benchmarks=benchmarks, seed=args.seed, runner=runner, admission=admission
-        )
+        results = fig09_success_rates(benchmarks=benchmarks, seed=args.seed, runner=runner)
         rows = [[b] + [r[s].success_rate for s in STRATEGIES] for b, r in results.items()]
         print(
             format_table(
@@ -497,9 +426,7 @@ def _run_figure(args: argparse.Namespace) -> int:
         summary = headline_improvement(results)
         print(f"ColorDynamic vs Baseline U: {summary['arithmetic_mean']:.1f}x mean")
     elif name == "fig10":
-        results = fig10_depth_decoherence(
-            benchmarks=benchmarks, seed=args.seed, runner=runner, admission=admission
-        )
+        results = fig10_depth_decoherence(benchmarks=benchmarks, seed=args.seed, runner=runner)
         strategies = FIG10_STRATEGIES
         rows = [
             [b] + [r[s].depth for s in strategies] + [r[s].decoherence_error for s in strategies]
@@ -512,9 +439,7 @@ def _run_figure(args: argparse.Namespace) -> int:
         )
         print(format_table(headers, rows, float_format="{:.3g}", title="Fig. 10"))
     elif name == "fig11":
-        results = fig11_color_sweep(
-            benchmarks=benchmarks, seed=args.seed, runner=runner, admission=admission
-        )
+        results = fig11_color_sweep(benchmarks=benchmarks, seed=args.seed, runner=runner)
         budgets = sorted(next(iter(results.values())))
         rows = [[b] + [r[k].success_rate for k in budgets] for b, r in results.items()]
         print(
@@ -526,9 +451,7 @@ def _run_figure(args: argparse.Namespace) -> int:
             )
         )
     elif name == "fig12":
-        results = fig12_residual_coupling(
-            benchmarks=benchmarks, seed=args.seed, runner=runner, admission=admission
-        )
+        results = fig12_residual_coupling(benchmarks=benchmarks, seed=args.seed, runner=runner)
         factors = sorted(next(iter(results.values())))
         rows = [[b] + [r[f] for f in factors] for b, r in results.items()]
         print(
@@ -540,9 +463,7 @@ def _run_figure(args: argparse.Namespace) -> int:
             )
         )
     elif name == "fig13":
-        results = fig13_connectivity(
-            benchmarks=benchmarks, seed=args.seed, runner=runner, admission=admission
-        )
+        results = fig13_connectivity(benchmarks=benchmarks, seed=args.seed, runner=runner)
         for bench, per_topology in results.items():
             rows = [
                 [
@@ -562,7 +483,7 @@ def _run_figure(args: argparse.Namespace) -> int:
                 )
             )
     elif name == "fig14":
-        data = fig14_example_frequencies(seed=args.seed, admission=admission)
+        data = fig14_example_frequencies(seed=args.seed)
         print("Idle frequencies (GHz):")
         for row in data["idle_frequencies"]:
             print("  " + "  ".join(f"{v:.3f}" for v in row))
@@ -601,7 +522,6 @@ def _run_cache(args: argparse.Namespace) -> int:
             args.figure,
             benchmarks=args.benchmarks or None,
             seed=args.seed,
-            admission=args.admission,
         )
         service = CompileService(
             cache_dir=args.cache_dir, enabled=True, remote_cache=args.remote_cache
@@ -724,8 +644,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _run_compile(args)
     if args.command == "compare":
         return _run_compare(args)
-    if args.command == "admission-report":
-        return _run_admission_report(args)
     if args.command == "figure":
         return _run_figure(args)
     if args.command == "cache":

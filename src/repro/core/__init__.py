@@ -28,20 +28,10 @@ from .frequencies import (
     step_frequencies,
     clamp_to_range,
 )
-from .admission import (
-    ADMISSION_POLICIES,
-    StepAdmission,
-    StructuralAdmission,
-    SuccessAdmission,
-)
 from .scheduler import NoiseAwareScheduler, ScheduledStep
 from .compiler import ColorDynamic, CompilationResult
 
 __all__ = [
-    "ADMISSION_POLICIES",
-    "StepAdmission",
-    "StructuralAdmission",
-    "SuccessAdmission",
     "build_crosstalk_graph",
     "active_subgraph",
     "crosstalk_neighbours",

@@ -26,10 +26,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..noise.incremental import IncrementalEstimator
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..circuits import Circuit, decompose_circuit, route_circuit
 from ..devices import Device
@@ -37,7 +34,6 @@ from ..devices.device import PREPARED_CACHE_ATTR
 from ..noise.flux import tuning_overhead_ns
 from ..obs import span as _span
 from ..program import CompiledProgram, Interaction, TimeStep
-from .admission import ADMISSION_POLICIES, StepAdmission, SuccessAdmission
 from .coloring import GraphIndex, welsh_powell_coloring, num_colors
 from .crosstalk_graph import active_subgraph, build_crosstalk_graph
 from .frequencies import (
@@ -211,17 +207,6 @@ class ColorDynamic:
         set.  ``False`` compiles through the original networkx/scalar
         reference paths.  The two paths emit bit-identical programs
         (enforced by ``tests/differential``).
-    admission:
-        Step-admission policy: ``"structural"`` (default) admits gates in
-        criticality order exactly as prior releases did (bit-identical);
-        ``"success"`` scores candidate gate-to-step placements with an
-        :class:`~repro.noise.IncrementalEstimator` preview and admits the
-        placement maximizing predicted Eq. (4) success (see
-        :mod:`repro.core.admission`).  Part of :meth:`cache_signature`, so
-        the two policies key disjoint store entries.
-    admission_beam:
-        Candidate window per success-admission decision (default 4);
-        ignored by the structural policy.
     """
 
     name = "ColorDynamic"
@@ -238,16 +223,7 @@ class ColorDynamic:
         dynamic: bool = True,
         use_routing: bool = True,
         indexed_kernels: bool = True,
-        admission: str = "structural",
-        admission_beam: int = 4,
     ) -> None:
-        if admission not in ADMISSION_POLICIES:
-            raise ValueError(
-                f"unknown admission policy {admission!r}; use one of "
-                f"{ADMISSION_POLICIES}"
-            )
-        if admission_beam < 1:
-            raise ValueError("admission_beam must be at least 1")
         self.device = device
         self.crosstalk_distance = crosstalk_distance
         self.max_colors = max_colors
@@ -257,8 +233,6 @@ class ColorDynamic:
         self.dynamic = dynamic
         self.use_routing = use_routing
         self.indexed_kernels = indexed_kernels
-        self.admission = admission
-        self.admission_beam = admission_beam
 
         self.crosstalk_graph = build_crosstalk_graph(device.graph, crosstalk_distance)
         self.crosstalk_index: Optional[GraphIndex] = (
@@ -322,8 +296,6 @@ class ColorDynamic:
             "dynamic": self.dynamic,
             "use_routing": self.use_routing,
             "indexed_kernels": self.indexed_kernels,
-            "admission": self.admission,
-            "admission_beam": self.admission_beam,
         }
 
     # ------------------------------------------------------------------
@@ -349,23 +321,6 @@ class ColorDynamic:
             conflict_threshold=self.conflict_threshold,
             indexed=self.indexed_kernels,
             crosstalk_index=self.crosstalk_index,
-        )
-
-    def _make_admission(self, build_step) -> Optional[StepAdmission]:
-        """Admission policy for one compile, or ``None`` for structural.
-
-        The ``"success"`` policy gets its *own* fresh
-        :class:`~repro.noise.IncrementalEstimator` under the default noise
-        model: reusing a caller-supplied estimator (whose model and prior
-        steps are not part of :meth:`cache_signature`) would make the
-        emitted program depend on state outside the cache key.
-        """
-        if self.admission != "success":
-            return None
-        from ..noise.incremental import IncrementalEstimator
-
-        return SuccessAdmission(
-            IncrementalEstimator(self.device), build_step, beam=self.admission_beam
         )
 
     def _interaction_frequencies(
@@ -435,20 +390,8 @@ class ColorDynamic:
     # ------------------------------------------------------------------
     # public API
     # ------------------------------------------------------------------
-    def compile(
-        self,
-        circuit: Circuit,
-        name: Optional[str] = None,
-        estimator: Optional["IncrementalEstimator"] = None,
-    ) -> CompilationResult:
-        """Compile *circuit* for this device; see the module docstring for stages.
-
-        When an :class:`~repro.noise.IncrementalEstimator` is passed, every
-        finalized time step is appended to it *inside* the compile loop — the
-        scheduler hands steps over one at a time via its ``on_step`` hook —
-        so the caller gets an Eq. (4) estimate that only ever paid O(step)
-        per scheduling decision instead of an O(program) pass afterwards.
-        """
+    def compile(self, circuit: Circuit, name: Optional[str] = None) -> CompilationResult:
+        """Compile *circuit* for this device; see the module docstring for stages."""
         start = time.perf_counter()
         # Manually paired (__enter__ here, __exit__ after the schedule loop)
         # so the method body keeps its indentation; if the compile raises,
@@ -477,13 +420,9 @@ class ColorDynamic:
             )
         )
 
-        def annotate(sched_step: ScheduledStep) -> Tuple[TimeStep, int, float]:
-            """Frequency-annotate one scheduled step (no side effects).
-
-            Reads ``previous_freqs`` (the preceding *finalized* step) for
-            the flux-retuning overhead, so admission previews and the final
-            emission price candidate steps identically.
-            """
+        def emit(sched_step: ScheduledStep) -> None:
+            """Frequency-annotate one finalized step and append it."""
+            nonlocal previous_freqs
             freq_by_coupling, n_colors, separation = self._interaction_frequencies(
                 sched_step.couplings
             )
@@ -509,25 +448,14 @@ class ColorDynamic:
                 duration_ns=duration,
                 active_couplers=None,
             )
-            return step, n_colors, separation
-
-        admission = self._make_admission(lambda s: annotate(s)[0])
-
-        def emit(sched_step: ScheduledStep) -> None:
-            nonlocal previous_freqs
-            step, n_colors, separation = annotate(sched_step)
             steps.append(step)
-            if estimator is not None:
-                estimator.append_step(step)
-            if admission is not None:
-                admission.observe(step)
             colors_per_step.append(n_colors)
             if sched_step.couplings:
                 separations.append(separation)
             previous_freqs = step.frequencies
 
         with _span("schedule"):
-            scheduler.schedule(native, on_step=emit, admission=admission)
+            scheduler.schedule(native, on_step=emit)
 
         elapsed = time.perf_counter() - start
         compile_span.__exit__(None, None, None)

@@ -16,17 +16,9 @@ gates).  It differs from a plain ASAP scheduler in two ways:
 Gates that conflict are postponed to a later step: this is the controlled
 trade of parallelism for crosstalk described in the paper.
 
-Two decision-identical data planes implement the loop — the original
+Two decision-identical data planes implement the loop: the original
 networkx path (``indexed=False``) and the integer-indexed bitset path
-(``indexed=True``, the default) — and a third, policy-driven loop runs when
-a :class:`~repro.core.admission.StepAdmission` policy is passed to
-:meth:`NoiseAwareScheduler.schedule`: single-qubit gates are admitted in
-criticality order as usual, but each two-qubit admission is delegated to
-the policy, which picks among a beam of structurally admissible candidates
-(the ``"success"`` policy scores them with
-:meth:`~repro.noise.IncrementalEstimator.preview_step`).  With no policy —
-or the ``"structural"`` one — the original loops run untouched, so the
-default remains bit-identical to the paper's behavior.
+(``indexed=True``, the default).
 """
 
 from __future__ import annotations
@@ -38,7 +30,6 @@ import networkx as nx
 
 from ..circuits import Circuit, Gate, build_dag, criticality, gate_dependencies
 from ..circuits.dag import criticality_scores
-from .admission import StepAdmission
 from .coloring import GraphIndex, bounded_coloring
 from .crosstalk_graph import active_subgraph
 
@@ -163,7 +154,6 @@ class NoiseAwareScheduler:
         self,
         circuit: Circuit,
         on_step: Optional[Callable[[ScheduledStep], None]] = None,
-        admission: Optional[StepAdmission] = None,
     ) -> List[ScheduledStep]:
         """Slice *circuit* into crosstalk-aware time steps.
 
@@ -176,17 +166,8 @@ class NoiseAwareScheduler:
         on_step:
             Invoked with each step the moment it is finalized — before the
             next scheduling cycle begins — so callers (the compilers) can
-            annotate frequencies and feed an
-            :class:`~repro.noise.IncrementalEstimator` one mutation at a
-            time instead of re-deriving whole-program state afterwards.
-        admission:
-            Optional :class:`~repro.core.admission.StepAdmission` policy
-            deciding which two-qubit gate enters the current step next.
-            ``None`` — or a policy named ``"structural"`` — runs the
-            original criticality-order loops untouched (bit-identical to
-            prior releases); any other policy routes through the
-            policy-driven loop, which gathers a beam of admissible
-            candidates per decision and admits the policy's choice.
+            annotate frequencies one step at a time instead of re-deriving
+            whole-program state afterwards.
 
         Returns
         -------
@@ -200,8 +181,6 @@ class NoiseAwareScheduler:
             in play (a circular conflict; cannot happen for well-formed
             circuits).
         """
-        if admission is not None and admission.name != "structural":
-            return self._schedule_admission(circuit, on_step, admission)
         if self.indexed:
             return self._schedule_indexed(circuit, on_step)
         return self._schedule_reference(circuit, on_step)
@@ -413,230 +392,6 @@ class NoiseAwareScheduler:
                 newly_ready.sort()
                 remaining_ready += newly_ready
                 # Two sorted runs: timsort merges them in one C-level pass.
-                remaining_ready.sort()
-            ready_list = remaining_ready
-            step_index += 1
-
-        return steps
-
-    def _schedule_admission(
-        self,
-        circuit: Circuit,
-        on_step: Optional[Callable[[ScheduledStep], None]],
-        policy: StepAdmission,
-    ) -> List[ScheduledStep]:
-        """Policy-driven scheduling loop (see the module docstring).
-
-        Single-qubit gates are admitted in criticality order exactly like
-        the structural loops.  For the two-qubit placement, up to
-        ``policy.beam`` complete candidate compositions are assembled —
-        composition *k* admits the *k*-th admissible two-qubit gate first
-        and fills the remainder of the step structurally — and the policy
-        chooses which composition the cycle emits.  Composition 0 is the
-        structural step, so a policy that never deviates reproduces the
-        structural loops' decisions exactly.
-
-        Structural admissibility is evaluated through the same kernels as
-        the structural loops — bitset popcount/probe when ``indexed``,
-        :meth:`noise_conflict` otherwise — so for a given admission order
-        the two planes make identical decisions.
-        """
-        gates = circuit.gates
-        n = len(gates)
-        successor_lists, indegree = gate_dependencies(circuit)
-        scores = criticality_scores(successor_lists, gates, weighted=True)
-        coupling_of = [
-            tuple(sorted(gate.qubits)) if gate.spec.num_qubits == 2 else None
-            for gate in gates
-        ]
-        sort_keys = [(-scores[i], i) for i in range(n)]
-
-        threshold = self.conflict_threshold
-        max_colors = self.max_colors
-        max_parallel = self.max_parallel_interactions
-        allowed_fn = self.allowed_couplings
-        beam = max(1, policy.beam)
-        index = self.crosstalk_index if self.indexed else None
-
-        if index is not None and self.crosstalk_graph is not None:
-            adjacency = index.adjacency
-            vertex_id = index.vertex_id
-
-            # Deliberate duplicate of the predicate inlined in
-            # _schedule_indexed (kept inline there for hot-loop speed); the
-            # two copies are pinned decision-identical by
-            # tests/core/test_admission.py::TestStructuralPolicy — change
-            # one, change both.
-            def conflicts(coupling, step_couplings, active_mask) -> bool:
-                coupling_id = vertex_id.get(coupling)
-                if (
-                    threshold is not None
-                    and coupling_id is not None
-                    and (adjacency[coupling_id] & active_mask).bit_count() >= threshold
-                ):
-                    return True
-                if max_colors is not None:
-                    if coupling_id is None:
-                        raise KeyError(
-                            f"coupling {coupling} is not an edge of the device"
-                        )
-                    if len(step_couplings) + 1 > max_colors:
-                        _, deferred = index.bounded(
-                            max_colors, step_couplings + [coupling]
-                        )
-                        if deferred:
-                            return True
-                return False
-
-            def extend_mask(active_mask: int, coupling: Coupling) -> int:
-                coupling_id = vertex_id.get(coupling)
-                return (
-                    active_mask | (1 << coupling_id)
-                    if coupling_id is not None
-                    else active_mask
-                )
-
-        else:
-
-            def conflicts(coupling, step_couplings, active_mask) -> bool:
-                return self.noise_conflict(coupling, step_couplings)
-
-            def extend_mask(active_mask: int, coupling: Coupling) -> int:
-                return active_mask
-
-        ready_list = sorted(sort_keys[i] for i in range(n) if indegree[i] == 0)
-        steps: List[ScheduledStep] = []
-        step_index = 0
-
-        while ready_list:
-            busy_qubits: Set[int] = set()
-            allowed = allowed_fn(step_index) if allowed_fn is not None else None
-
-            # Phase 1: single-qubit gates in criticality order.  Gates that
-            # are simultaneously ready never share a qubit (dependencies are
-            # per-qubit chains), so these admissions are independent of the
-            # two-qubit placement decisions below.
-            single_qubit: List[int] = []
-            pending: List[int] = []
-            for entry in ready_list:
-                candidate = entry[1]
-                if set(gates[candidate].qubits) & busy_qubits:
-                    continue
-                if coupling_of[candidate] is not None:
-                    pending.append(candidate)
-                    continue
-                single_qubit.append(candidate)
-                busy_qubits.update(gates[candidate].qubits)
-
-            def compose(leader: Optional[int]) -> Optional[List[int]]:
-                """Two-qubit indices of the composition led by *leader*.
-
-                Admits *leader* first (``None`` means pure criticality
-                order), then fills the step structurally: the remaining
-                pending gates are scanned in criticality order through the
-                same busy/allowed/conflict checks as the structural loops.
-                Returns ``None`` when *leader* itself is inadmissible.
-                """
-                admitted: List[int] = []
-                couplings: List[Coupling] = []
-                busy = set(busy_qubits)
-                active_mask = 0
-                order = pending if leader is None else [leader] + [
-                    i for i in pending if i != leader
-                ]
-                for candidate in order:
-                    if max_parallel is not None and len(couplings) >= max_parallel:
-                        break
-                    gate = gates[candidate]
-                    if set(gate.qubits) & busy:
-                        continue
-                    coupling = coupling_of[candidate]
-                    if allowed is not None and coupling not in allowed:
-                        if candidate == leader:
-                            return None
-                        continue
-                    if conflicts(coupling, couplings, active_mask):
-                        if candidate == leader:
-                            return None
-                        continue
-                    admitted.append(candidate)
-                    couplings.append(coupling)
-                    busy.update(gate.qubits)
-                    active_mask = extend_mask(active_mask, coupling)
-                return admitted
-
-            def assemble(two_qubit: List[int]) -> ScheduledStep:
-                """Build a criticality-ordered step from phase-1 + *two_qubit*."""
-                step = ScheduledStep()
-                step.indices = sorted(single_qubit + two_qubit, key=lambda i: sort_keys[i])
-                step.gates = [gates[i] for i in step.indices]
-                interacting = [i for i in step.indices if coupling_of[i] is not None]
-                step.couplings = [coupling_of[i] for i in interacting]
-                step.interaction_gates = [gates[i] for i in interacting]
-                step.base_duration_ns = max(
-                    (g.duration_ns for g in step.gates), default=0.0
-                )
-                return step
-
-            # Phase 2: assemble one candidate composition per admissible
-            # leader (criticality order, up to the beam) and let the policy
-            # pick.  The structural composition is always candidate 0.
-            structural = compose(None)
-            candidates: List[ScheduledStep] = []
-            if structural:
-                candidates.append(assemble(structural))
-                seen = {tuple(sorted(structural))}
-                # Alternative leaders, most-different first: gates the
-                # structural composition deferred (forcing one in changes
-                # the set for sure), then reorderings of the admitted ones
-                # (which differ only when the conflict checks are
-                # order-sensitive).  Duplicate compositions are skipped, so
-                # an unconflicted cycle costs the policy nothing.
-                admitted_set = set(structural)
-                deferred = [i for i in pending if i not in admitted_set]
-                for leader in deferred + structural[1:]:
-                    if len(candidates) >= beam:
-                        break
-                    alternative = compose(leader)
-                    if alternative is None:
-                        continue
-                    key = tuple(sorted(alternative))
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    candidates.append(assemble(alternative))
-
-            if candidates:
-                pick = 0 if len(candidates) == 1 else policy.choose(candidates)
-                step = candidates[pick]
-            else:
-                step = assemble([])
-
-            if not step.gates:
-                # Nothing admitted this cycle (e.g. the tiling pattern blocks
-                # every ready gate); advance the pattern instead of looping
-                # forever, but only when a pattern is in play.
-                if allowed is None:
-                    raise RuntimeError("scheduler made no progress; circular conflict")
-                step_index += 1
-                continue
-
-            steps.append(step)
-            if on_step is not None:
-                on_step(step)
-
-            admitted = set(step.indices)
-            newly_ready: List[Tuple[float, int]] = []
-            for admitted_index in step.indices:
-                for successor in successor_lists[admitted_index]:
-                    remaining = indegree[successor] - 1
-                    indegree[successor] = remaining
-                    if remaining == 0:
-                        newly_ready.append(sort_keys[successor])
-            remaining_ready = [e for e in ready_list if e[1] not in admitted]
-            if newly_ready:
-                newly_ready.sort()
-                remaining_ready += newly_ready
                 remaining_ready.sort()
             ready_list = remaining_ready
             step_index += 1

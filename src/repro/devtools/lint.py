@@ -72,7 +72,7 @@ import sys
 import tokenize
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 __all__ = ["Finding", "RULES", "lint_paths", "main"]
 

@@ -52,49 +52,49 @@ ENV_VARS: Tuple[EnvVar, ...] = (
         summary="root directory of the compiled-program store",
         default="~/.cache/repro/programs (XDG)",
         overridden_by="--cache-dir",
-        commands=("figure", "cache", "admission-report"),
+        commands=("figure", "cache"),
     ),
     EnvVar(
         name="REPRO_CACHE",
         summary="0 disables the program store (every compile runs cold)",
         default="1 (enabled)",
         overridden_by="--cache-dir/--remote-cache re-enable; --no-cache disables",
-        commands=("figure", "cache", "admission-report"),
+        commands=("figure", "cache"),
     ),
     EnvVar(
         name="REPRO_REMOTE_CACHE",
         summary="shared cache-server URL; tiers the store local -> remote",
         default="unset (local-only)",
         overridden_by="--remote-cache",
-        commands=("figure", "cache", "admission-report"),
+        commands=("figure", "cache"),
     ),
     EnvVar(
         name="REPRO_REMOTE_COMPILE",
         summary="remote compile-server URL; cold misses are compiled server-side",
         default="unset (cold misses compile locally)",
         overridden_by="--remote-compile",
-        commands=("figure", "cache", "admission-report"),
+        commands=("figure", "cache"),
     ),
     EnvVar(
         name="REPRO_CACHE_TOKEN",
         summary="shared-secret bearer token sent to (and enforced by) the cache server",
         default="unset (no Authorization header; server accepts anonymous writes)",
         overridden_by="--token (cache serve)",
-        commands=("figure", "cache", "admission-report"),
+        commands=("figure", "cache"),
     ),
     EnvVar(
         name="REPRO_CACHE_MAX_BYTES",
         summary="LRU byte budget for the local store tier, enforced per write",
         default="unset (unbounded); invalid values are ignored",
         overridden_by="--max-bytes",
-        commands=("figure", "cache", "admission-report"),
+        commands=("figure", "cache"),
     ),
     EnvVar(
         name="REPRO_SWEEP_WORKERS",
         summary="parallel sweep processes for figure grids",
         default="1 (serial)",
         overridden_by="--workers",
-        commands=("figure", "cache", "admission-report"),
+        commands=("figure", "cache"),
     ),
     EnvVar(
         name="REPRO_TRACE",

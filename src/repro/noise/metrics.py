@@ -42,7 +42,7 @@ invalidation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -373,17 +373,23 @@ def _step_spectator_errors(
     return errors
 
 
-def _floor_fidelity_from_counts(
-    counts: Mapping[str, int], model: NoiseModel
+def _gate_floor_errors(
+    program: CompiledProgram, model: NoiseModel
 ) -> Tuple[float, int, int, int]:
-    """Calibration-floor fidelity product from per-gate-name counts.
+    """Calibration-floor fidelity product over every gate in the program.
 
     Returns ``(fidelity, two_qubit, physical_single_qubit, virtual_single_qubit)``.
-    Gate names are processed in sorted order so the float product is a pure
-    function of the counts — independent of dict insertion history — which
-    is what lets the :class:`IncrementalEstimator`'s incrementally maintained
-    counts reproduce the from-scratch product bit-exactly.
+    Gates are aggregated by name (every instance of a gate carries the same
+    floor error, so the product collapses to a power per distinct gate) and
+    the names are processed in sorted order, so the float product is a pure
+    function of the counts.  Zero-duration single-qubit gates (virtual-Z
+    frame updates) are charged no error and counted separately from the
+    physical pulses.
     """
+    counts: Dict[str, int] = {}
+    for step in program.steps:
+        for gate in step.gates:
+            counts[gate.name] = counts.get(gate.name, 0) + 1
     fidelity = 1.0
     two_qubit = 0
     single_qubit = 0
@@ -404,23 +410,6 @@ def _floor_fidelity_from_counts(
         else:
             virtual += count
     return fidelity, two_qubit, single_qubit, virtual
-
-
-def _gate_floor_errors(
-    program: CompiledProgram, model: NoiseModel
-) -> Tuple[float, int, int, int]:
-    """Calibration-floor fidelity product over every gate in the program.
-
-    Gates are aggregated by name (every instance of a gate carries the same
-    floor error, so the product collapses to a power per distinct gate).
-    Zero-duration single-qubit gates (virtual-Z frame updates) are charged no
-    error and counted separately from the physical pulses.
-    """
-    counts: Dict[str, int] = {}
-    for step in program.steps:
-        for gate in step.gates:
-            counts[gate.name] = counts.get(gate.name, 0) + 1
-    return _floor_fidelity_from_counts(counts, model)
 
 
 def _decoherence_errors(program: CompiledProgram, model: NoiseModel) -> Dict[int, float]:
@@ -472,42 +461,6 @@ class _ProgramArrays:
     inactive_coupler: np.ndarray  # (S, P) bool — gmon coupler switched off
 
 
-def _step_dense_row(
-    step: TimeStep, geometry: SpectatorGeometry, num_qubits: int
-) -> Tuple[float, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Dense per-step row: ``(duration, frequencies, present, busy, interacting, inactive)``.
-
-    The single source of the step → arrays mapping: :func:`_program_arrays`
-    stacks these rows for the from-scratch engine, and the
-    :class:`IncrementalEstimator` maintains exactly one such row per step,
-    so a mutated step always reproduces the from-scratch row bit for bit.
-    """
-    num_pairs = geometry.num_pairs
-    frequencies = np.full(num_qubits, np.nan)
-    present = np.zeros(num_qubits, dtype=bool)
-    busy = np.zeros(num_qubits, dtype=bool)
-    interacting = np.zeros(num_pairs, dtype=bool)
-    inactive = np.zeros(num_pairs, dtype=bool)
-    pair_index = geometry.pair_index
-    for qubit, frequency in step.frequencies.items():
-        frequencies[qubit] = frequency
-        present[qubit] = True
-    for interaction in step.interactions:
-        a, b = interaction.pair
-        busy[a] = True
-        busy[b] = True
-        index = pair_index.get(interaction.pair)
-        if index is not None:
-            interacting[index] = True
-    if step.active_couplers is not None:
-        inactive[:] = True
-        for pair in step.active_couplers:
-            index = pair_index.get(tuple(sorted(pair)))
-            if index is not None:
-                inactive[index] = False
-    return step.duration_ns, frequencies, present, busy, interacting, inactive
-
-
 def _program_arrays(
     program: CompiledProgram, geometry: SpectatorGeometry
 ) -> _ProgramArrays:
@@ -516,15 +469,30 @@ def _program_arrays(
     num_qubits = program.device.num_qubits
     num_pairs = geometry.num_pairs
     durations = np.empty(num_steps)
-    frequencies = np.empty((num_steps, num_qubits))
-    present = np.empty((num_steps, num_qubits), dtype=bool)
-    busy = np.empty((num_steps, num_qubits), dtype=bool)
-    interacting = np.empty((num_steps, num_pairs), dtype=bool)
-    inactive = np.empty((num_steps, num_pairs), dtype=bool)
+    frequencies = np.full((num_steps, num_qubits), np.nan)
+    present = np.zeros((num_steps, num_qubits), dtype=bool)
+    busy = np.zeros((num_steps, num_qubits), dtype=bool)
+    interacting = np.zeros((num_steps, num_pairs), dtype=bool)
+    inactive = np.zeros((num_steps, num_pairs), dtype=bool)
+    pair_index = geometry.pair_index
     for s, step in enumerate(steps):
-        durations[s], frequencies[s], present[s], busy[s], interacting[s], inactive[s] = (
-            _step_dense_row(step, geometry, num_qubits)
-        )
+        durations[s] = step.duration_ns
+        for qubit, frequency in step.frequencies.items():
+            frequencies[s, qubit] = frequency
+            present[s, qubit] = True
+        for interaction in step.interactions:
+            a, b = interaction.pair
+            busy[s, a] = True
+            busy[s, b] = True
+            index = pair_index.get(interaction.pair)
+            if index is not None:
+                interacting[s, index] = True
+        if step.active_couplers is not None:
+            inactive[s] = True
+            for pair in step.active_couplers:
+                index = pair_index.get(tuple(sorted(pair)))
+                if index is not None:
+                    inactive[s, index] = False
     return _ProgramArrays(
         durations=durations,
         frequencies=frequencies,
@@ -555,10 +523,6 @@ def _masked_channel_terms(
     ``1.0`` and ``0.0`` respectively — the multiplicative/additive
     identities, so reductions over the padded arrays equal reductions over
     the selected channels alone.
-
-    Because every operation is elementwise, evaluating one step's row
-    produces bit-identical values to slicing that step out of the full
-    program evaluation — the property the incremental estimator rests on.
     """
     ia, ib = geometry.index_a, geometry.index_b
     omega_a = frequencies[..., ia]
@@ -608,54 +572,21 @@ def _masked_channel_terms(
     return fidelity_terms, error_terms
 
 
-def _step_spectator_reduction(
-    duration: float,
-    frequencies: np.ndarray,
-    present: np.ndarray,
-    busy: np.ndarray,
-    interacting: np.ndarray,
-    inactive_coupler: np.ndarray,
-    model: NoiseModel,
-    geometry: SpectatorGeometry,
-) -> Tuple[float, float, float]:
-    """One step's ``(crosstalk fidelity, error total, worst error)``."""
-    if geometry.num_pairs == 0:
-        return 1.0, 0.0, 0.0
-    fidelity_terms, error_terms = _masked_channel_terms(
-        frequencies,
-        present,
-        busy,
-        interacting,
-        inactive_coupler,
-        duration,
-        model,
-        geometry,
-    )
-    return (
-        float(np.prod(fidelity_terms.reshape(-1))),
-        float(np.sum(error_terms.reshape(-1))),
-        float(np.max(error_terms.reshape(-1))),
-    )
-
-
 def _vectorized_spectator_errors(
     arrays: _ProgramArrays, model: NoiseModel, geometry: SpectatorGeometry
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-step spectator reductions for a whole program at once.
+) -> Tuple[float, float, float]:
+    """Program ``(crosstalk fidelity, error total, worst error)`` at once.
 
-    Returns ``(step_fidelities, step_error_totals, step_worst_errors)``,
-    each of shape ``(S,)``.  The boolean channel mask reproduces the scalar
-    reference's skip rules (zero-duration steps, intended pairs, absent
-    frequencies, safe idle-idle pairs, zero effective coupling); channels
-    reduce in pair-major / channel-last order within each step, and the
-    caller multiplies the per-step results in step order — the same order
-    the scalar loop walks.  Each per-step reduction is bit-identical to
-    evaluating that step's row alone through
-    :func:`_step_spectator_reduction`.
+    The boolean channel mask reproduces the scalar reference's skip rules
+    (zero-duration steps, intended pairs, absent frequencies, safe
+    idle-idle pairs, zero effective coupling); channels reduce in
+    pair-major / channel-last order within each step, and the per-step
+    results are then folded in step order — the same order the scalar loop
+    walks.
     """
     num_steps, num_pairs = arrays.interacting.shape
     if num_steps == 0 or num_pairs == 0:
-        return np.ones(num_steps), np.zeros(num_steps), np.zeros(num_steps)
+        return 1.0, 0.0, 0.0
 
     fidelity_terms, error_terms = _masked_channel_terms(
         arrays.frequencies,
@@ -670,15 +601,6 @@ def _vectorized_spectator_errors(
     step_fids = np.prod(fidelity_terms.reshape(num_steps, -1), axis=1)
     step_sums = np.sum(error_terms.reshape(num_steps, -1), axis=1)
     step_worsts = np.max(error_terms.reshape(num_steps, -1), axis=1)
-    return step_fids, step_sums, step_worsts
-
-
-def _combine_step_stats(
-    step_fids: np.ndarray, step_sums: np.ndarray, step_worsts: np.ndarray
-) -> Tuple[float, float, float]:
-    """Fold per-step spectator stats into program totals (fixed order)."""
-    if step_fids.size == 0:
-        return 1.0, 0.0, 0.0
     return (
         float(np.prod(step_fids)),
         float(np.sum(step_sums)),
@@ -686,36 +608,18 @@ def _combine_step_stats(
     )
 
 
-def _flux_rate_rows(
-    frequencies: np.ndarray, params: "_QubitParamArrays", model: NoiseModel
-) -> np.ndarray:
-    """Flux-dephasing rates for frequency rows/matrices (NaN where absent)."""
-    return flux_dephasing_rate_matrix(
-        frequencies,
-        params.omega_max,
-        params.asymmetry,
-        params.anharmonicity,
-        model.flux_noise_amplitude,
-    )
-
-
-def _decoherence_from_dense(
-    device: Device,
-    model: NoiseModel,
-    durations: np.ndarray,
-    present: np.ndarray,
-    rates: Optional[np.ndarray],
+def _vectorized_decoherence_errors(
+    program: CompiledProgram, model: NoiseModel, arrays: _ProgramArrays
 ) -> Dict[int, float]:
     """Vectorized counterpart of :func:`_decoherence_errors`.
 
-    ``rates`` is the ``(S, Q)`` flux-dephasing-rate matrix (may be ``None``
-    when flux noise is off).  The time-weighted average is evaluated with
-    one fixed expression — ``sum_s (d_s / total) * rate_sq`` reduced along
-    the step axis — so callers holding per-step rate rows (the incremental
-    estimator) reproduce the from-scratch result bit-exactly by stacking
-    their rows.
+    The time-weighted average flux-dephasing rate is evaluated with one
+    fixed expression — ``sum_s (d_s / total) * rate_sq`` reduced along the
+    step axis.
     """
+    device = program.device
     num_qubits = device.num_qubits
+    durations = arrays.durations
     total = float(np.sum(durations)) if durations.size else 0.0
     if total <= 0:
         return {q: 0.0 for q in range(num_qubits)}
@@ -723,25 +627,19 @@ def _decoherence_from_dense(
     params = _device_param_arrays(device)
     extra_rate = np.zeros(num_qubits)
     if model.include_flux_noise and durations.size:
-        contributing = present & (durations > 0.0)[:, None]
+        rates = flux_dephasing_rate_matrix(
+            arrays.frequencies,
+            params.omega_max,
+            params.asymmetry,
+            params.anharmonicity,
+            model.flux_noise_amplitude,
+        )
+        contributing = arrays.present & (durations > 0.0)[:, None]
         weights = (durations / total)[:, None]
         extra_rate = np.sum(np.where(contributing, weights * rates, 0.0), axis=0)
 
     errors = combined_qubit_error_array(total, params.t1_ns, params.t2_ns, extra_rate)
     return {q: float(errors[q]) for q in range(num_qubits)}
-
-
-def _vectorized_decoherence_errors(
-    program: CompiledProgram, model: NoiseModel, arrays: _ProgramArrays
-) -> Dict[int, float]:
-    """Per-qubit decoherence errors through the dense data plane."""
-    device = program.device
-    rates = None
-    if model.include_flux_noise and arrays.durations.size:
-        rates = _flux_rate_rows(arrays.frequencies, _device_param_arrays(device), model)
-    return _decoherence_from_dense(
-        device, model, arrays.durations, arrays.present, rates
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -778,8 +676,8 @@ def _estimate_success_impl(
 
     if vectorized:
         arrays = _program_arrays(program, geometry)
-        crosstalk_fidelity, crosstalk_total, worst_spectator = _combine_step_stats(
-            *_vectorized_spectator_errors(arrays, model, geometry)
+        crosstalk_fidelity, crosstalk_total, worst_spectator = (
+            _vectorized_spectator_errors(arrays, model, geometry)
         )
         decoherence = _vectorized_decoherence_errors(program, model, arrays)
     else:

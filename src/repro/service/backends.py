@@ -690,10 +690,6 @@ class HTTPBackend(StoreBackend):
         self._breaker = CircuitBreaker(
             urllib.parse.urlsplit(self.url).netloc or self.url, trip_after=trip_after
         )
-        # Remembered per-endpoint once an old server answers 404/405/501 to a
-        # batch route, so every later batch call degrades to per-key ops
-        # without re-probing.
-        self._batch_unsupported: set = set()
 
     @property
     def tripped(self) -> bool:
@@ -827,15 +823,11 @@ class HTTPBackend(StoreBackend):
     # batched transfer (POST /v<codec>/batch/{get,put})
     # ------------------------------------------------------------------
     def _batch_post(self, endpoint: str, body: dict) -> Optional[dict]:
-        """One batched round trip, or ``None`` when unavailable.
+        """One batched round trip, or ``None`` when it failed.
 
-        A 404/405/501 means a pre-batch server: that is a *healthy* answer
-        (the server spoke), so the breaker closes, the endpoint is
-        remembered as unsupported, and the caller falls back to per-key
-        operations.  Network failures count against the breaker as usual.
+        Any failure — an HTTP error status, a network error or a malformed
+        payload — counts against the breaker.
         """
-        if endpoint in self._batch_unsupported:
-            return None
         path = f"/{self.format}/batch/{endpoint}"
         start = time.perf_counter()
         try:
@@ -843,14 +835,6 @@ class HTTPBackend(StoreBackend):
                 payload = json.loads(response.read().decode("utf-8"))
             if not isinstance(payload, dict):
                 raise ValueError("batch payload is not an object")
-        except urllib.error.HTTPError as error:
-            if error.code in (404, 405, 501):
-                self._note_success()
-                self._batch_unsupported.add(endpoint)
-            else:
-                self._note_failure()
-            _observe_op(start, "remote", f"batch_{endpoint}", "error")
-            return None
         except (urllib.error.URLError, OSError, ValueError):
             self._note_failure()
             _observe_op(start, "remote", f"batch_{endpoint}", "error")
@@ -862,9 +846,10 @@ class HTTPBackend(StoreBackend):
     def get_many(self, keys: Sequence[str]) -> Dict[str, dict]:
         """Fetch many entries in ``BATCH_CHUNK_ENTRIES``-sized round trips.
 
-        Falls back to per-key ``get`` loops against pre-batch servers.
-        Entries whose key or payload shape is wrong are dropped, not
-        surfaced — the transfer path never turns junk into cache content.
+        A failed round trip ends the transfer with the entries fetched so
+        far (no retry storm).  Entries whose key or payload shape is wrong
+        are dropped, not surfaced — the transfer path never turns junk into
+        cache content.
         """
         if self.tripped:
             return {}
@@ -874,10 +859,7 @@ class HTTPBackend(StoreBackend):
             chunk = pending[offset : offset + BATCH_CHUNK_ENTRIES]
             payload = self._batch_post("get", {"keys": chunk})
             if payload is None:
-                if "get" in self._batch_unsupported:
-                    found.update(StoreBackend.get_many(self, pending[offset:]))
-                    return found
-                return found  # network trouble: partial results, no retry storm
+                return found
             entries = payload.get("entries")
             if not isinstance(entries, dict):
                 continue
@@ -890,8 +872,8 @@ class HTTPBackend(StoreBackend):
     def put_many(self, entries: Mapping[str, dict]) -> int:
         """Store many entries in ``BATCH_CHUNK_ENTRIES``-sized round trips.
 
-        Falls back to per-key ``put`` loops against pre-batch servers.
-        Returns how many entries the server acknowledged storing.
+        Returns how many entries the server acknowledged storing; a failed
+        round trip ends the transfer there.
         """
         if self.tripped:
             return 0
@@ -901,10 +883,6 @@ class HTTPBackend(StoreBackend):
             chunk = dict(items[offset : offset + BATCH_CHUNK_ENTRIES])
             payload = self._batch_post("put", {"entries": chunk})
             if payload is None:
-                if "put" in self._batch_unsupported:
-                    return stored + StoreBackend.put_many(
-                        self, dict(items[offset:])
-                    )
                 return stored
             count = payload.get("stored")
             stored += count if isinstance(count, int) else 0

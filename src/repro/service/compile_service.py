@@ -80,7 +80,6 @@ def make_compiler(
     device: Device,
     max_colors: Optional[int] = None,
     indexed_kernels: bool = True,
-    admission: str = "structural",
 ):
     """Instantiate a Table I strategy by its figure name.
 
@@ -100,14 +99,11 @@ def make_compiler(
         programs are bit-identical either way (the differential suite
         enforces this), so the knob only trades compile speed for
         reference-path execution.
-    admission:
-        Step-admission policy (``"structural"`` or ``"success"``), passed
-        through to the strategy's constructor.
 
     Raises
     ------
     ValueError
-        If *strategy* or *admission* names nothing known.
+        If *strategy* names nothing known.
     """
     from ..baselines import STRATEGY_REGISTRY
 
@@ -116,12 +112,11 @@ def make_compiler(
             device,
             max_colors=max_colors,
             indexed_kernels=indexed_kernels,
-            admission=admission,
         )
     cls = STRATEGY_REGISTRY.get(strategy)
     if cls is None:
         raise ValueError(f"unknown strategy {strategy!r}")
-    return cls(device, indexed_kernels=indexed_kernels, admission=admission)
+    return cls(device, indexed_kernels=indexed_kernels)
 
 
 @dataclass(frozen=True)
@@ -140,7 +135,6 @@ class CompileJob:
     topology: str = "grid"
     seed: int = 2020
     max_colors: Optional[int] = None
-    admission: str = "structural"
 
 
 @dataclass
@@ -201,11 +195,20 @@ def _build_job_device(job: CompileJob) -> Device:
     return build_device_for(job.benchmark, topology=job.topology, seed=job.seed)
 
 
+#: Value key of the compiler a job resolves to:
+#: ``(strategy, topology, num_qubits, seed, max_colors)``.
+_CompilerKey = Tuple[str, str, int, int, Optional[int]]
+
+
+def _compiler_key(job: CompileJob) -> _CompilerKey:
+    num_qubits = parse_benchmark_name(job.benchmark).num_qubits
+    return (job.strategy, job.topology, num_qubits, job.seed, job.max_colors)
+
+
 def _compile_job_cold(job: CompileJob, indexed_kernels: bool = True) -> CompilationResult:
     """Compile one job from scratch (runs inside batch worker processes)."""
     compiler = make_compiler(
-        job.strategy, _build_job_device(job), job.max_colors,
-        indexed_kernels=indexed_kernels, admission=job.admission,
+        job.strategy, _build_job_device(job), job.max_colors, indexed_kernels=indexed_kernels
     )
     circuit = benchmark_circuit(job.benchmark, seed=job.seed)
     return compiler.compile(circuit)
@@ -286,15 +289,13 @@ class CompileService:
         # compiler and circuit at most once (value-keyed, like the sweep
         # runner's per-worker caches).
         self._devices: Dict[Tuple[str, int, int], Device] = {}
-        self._compilers: Dict[Tuple[str, str, int, int, Optional[int], str], object] = {}
+        self._compilers: Dict[_CompilerKey, object] = {}
         self._circuits: Dict[Tuple[str, int], Circuit] = {}
         # Content sub-digests, memoized alongside the objects they describe
         # (a spec-built device/compiler/circuit is never mutated afterwards,
         # so memoizing its digest is safe; the direct compile_circuit path
         # takes no such shortcut).
-        self._compiler_shas: Dict[
-            Tuple[str, str, int, int, Optional[int], str], str
-        ] = {}
+        self._compiler_shas: Dict[_CompilerKey, str] = {}
         self._circuit_shas: Dict[Tuple[str, int], str] = {}
 
     # ------------------------------------------------------------------
@@ -310,11 +311,7 @@ class CompileService:
         return device
 
     def _compiler_for(self, job: CompileJob):
-        num_qubits = parse_benchmark_name(job.benchmark).num_qubits
-        key = (
-            job.strategy, job.topology, num_qubits, job.seed, job.max_colors,
-            job.admission,
-        )
+        key = _compiler_key(job)
         compiler = self._compilers.get(key)
         if compiler is None:
             compiler = make_compiler(
@@ -322,7 +319,6 @@ class CompileService:
                 self._device_for(job),
                 job.max_colors,
                 indexed_kernels=self.indexed_kernels,
-                admission=job.admission,
             )
             self._compilers[key] = compiler
         return compiler
@@ -337,9 +333,7 @@ class CompileService:
 
     def job_key(self, job: CompileJob) -> str:
         """Content-addressed cache key a job resolves to."""
-        compiler_key = (job.strategy, job.topology,
-                        parse_benchmark_name(job.benchmark).num_qubits,
-                        job.seed, job.max_colors, job.admission)
+        compiler_key = _compiler_key(job)
         compiler_sha = self._compiler_shas.get(compiler_key)
         if compiler_sha is None:
             compiler_sha = compiler_digest(self._compiler_for(job))
@@ -371,6 +365,7 @@ class CompileService:
         key: Optional[str],
         payload: dict,
         job: CompileJob,
+        round_trip_s: float,
         name: Optional[str] = None,
     ) -> Optional[CompilationResult]:
         """A server-compiled payload -> result, persisted locally.
@@ -380,7 +375,12 @@ class CompileService:
         The entry is written to the *local* store tier only: the compile
         server already holds it, so publishing it back would be a
         redundant upload per grid point.
+
+        *round_trip_s* is this job's share of the ``compile_jobs`` round
+        trip; it plus the decode is the result's client-side latency,
+        recorded in ``load_time_s`` like a store hit's.
         """
+        start = time.perf_counter()
         try:
             result = CompilationResult.from_dict(
                 payload, device=self._compiler_for(job).device
@@ -389,6 +389,8 @@ class CompileService:
             return None
         if name is not None:
             result.program.name = name
+        result.load_time_s = round_trip_s + (time.perf_counter() - start)
+        self.stats.load_time_s += result.load_time_s
         self.stats.remote_compiles += 1
         _COMPILE_REQUESTS.inc(outcome="remote")
         if self.store is not None and key is not None:
@@ -521,8 +523,8 @@ class CompileService:
         Raises
         ------
         ValueError
-            If the job names an unknown strategy, admission policy,
-            topology or benchmark family.
+            If the job names an unknown strategy, topology or benchmark
+            family.
         """
         key: Optional[str] = None
         if self.store is not None:
@@ -534,9 +536,11 @@ class CompileService:
                 return loaded
         client = self._remote_client()
         if client is not None:
+            start = time.perf_counter()
             payloads = client.compile_jobs([job])
+            round_trip_s = time.perf_counter() - start
             if payloads:
-                adopted = self._adopt_remote(key, payloads[0], job, name=name)
+                adopted = self._adopt_remote(key, payloads[0], job, round_trip_s, name=name)
                 if adopted is not None:
                     return adopted
         circuit = self._circuit_for(job)
@@ -578,10 +582,9 @@ class CompileService:
         Raises
         ------
         ValueError
-            If any job names an unknown strategy, admission policy,
-            topology or benchmark family (raised before any compilation
-            starts — the whole batch is keyed first), or if *names* has
-            the wrong length.
+            If any job names an unknown strategy, topology or benchmark
+            family (raised before any compilation starts — the whole batch
+            is keyed first), or if *names* has the wrong length.
         """
         jobs = list(jobs)
         if names is not None:
@@ -619,12 +622,14 @@ class CompileService:
 
         client = self._remote_client()
         if missing and client is not None:
+            start = time.perf_counter()
             payloads = client.compile_jobs([job for _, job in missing])
+            round_trip_share_s = (time.perf_counter() - start) / len(missing)
             if payloads is not None:
                 still_missing: List[Tuple[str, CompileJob]] = []
                 for (key, job), payload in zip(missing, payloads):
                     adopted = self._adopt_remote(
-                        key, payload, job, name=first_name[key]
+                        key, payload, job, round_trip_share_s, name=first_name[key]
                     )
                     if adopted is None:
                         still_missing.append((key, job))

@@ -156,7 +156,6 @@ _JOB_FIELD_TYPES = {
     "topology": str,
     "seed": int,
     "max_colors": int,
-    "admission": str,
 }
 
 
@@ -531,7 +530,7 @@ class _CacheRequestHandler(BaseHTTPRequestHandler):
         except QueueFullError as error:
             self._send_throttled(error.retry_after_s)
             return
-        except ValueError as error:  # unknown strategy/benchmark/admission
+        except ValueError as error:  # unknown strategy/benchmark
             self._send_json(400, {"error": str(error)})
             return
         self._send_json(200, {"results": results})
@@ -684,6 +683,13 @@ class CacheServer:
                     return "deduplicated", entry.payload
                 continue  # owner produced nothing usable; re-resolve from scratch
             try:
+                # The miss above may predate a previous owner persisting and
+                # retiring this key; serve its entry instead of compiling it
+                # a second time.
+                payload = self.backend.get(key)
+                if payload is not None:
+                    entry.payload = payload
+                    return "hit", payload
                 start = perf_counter()
                 with self._compile_lock:
                     result = service.compile(job)  # repro-lint: serialized-compile(this lock exists to hold one cold compile at a time; see __init__)

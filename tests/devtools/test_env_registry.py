@@ -48,6 +48,31 @@ def test_registry_has_no_dead_entries():
         assert variable.name in used, f"{variable.name} is registered but never read"
 
 
+def _cli_subcommands():
+    import argparse
+
+    from repro.cli import build_parser
+
+    for action in build_parser()._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            return set(action.choices)
+    raise AssertionError("repro.cli parser has no subcommands")
+
+
+def test_registry_names_only_real_subcommands():
+    """Every ``EnvVar.commands`` entry is a ``repro`` subcommand (or ``"*"``,
+    a variable read outside the CLI), so no epilog is keyed to a command
+    that no longer exists."""
+    subcommands = _cli_subcommands()
+    stale = {
+        variable.name: command
+        for variable in ENV_VARS
+        for command in variable.commands
+        if command != "*" and command not in subcommands
+    }
+    assert not stale, f"EnvVar.commands names unknown subcommands: {stale}"
+
+
 class TestReadEnv:
     def test_reads_registered_variable(self, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", "/tmp/somewhere")

@@ -478,12 +478,13 @@ class TestBatchedTransfer:
         found = backend.get_many([KEY_A, KEY_B, KEY_C])
         assert found == entries  # KEY_C is simply absent, not an error
 
-    def test_pre_batch_server_falls_back_to_per_key(self, cache_server):
-        backend = HTTPBackend(cache_server.url)
-        backend._batch_unsupported = {"get", "put"}
-        assert backend.put_many({KEY_A: entry_payload("a")}) == 1
-        assert backend.get_many([KEY_A]) == {KEY_A: entry_payload("a")}
-        assert cache_server.backend.get(KEY_A) == entry_payload("a")
+    @pytest.mark.parametrize("status", [404, 405, 501])
+    def test_unanswered_batch_route_is_a_failed_batch(self, status):
+        with stub_server(b'{"error": "no such route"}', status=status) as url:
+            backend = HTTPBackend(url, trip_after=10)
+            assert backend.get_many([KEY_A, KEY_B]) == {}
+            assert backend.put_many({KEY_A: entry_payload("a")}) == 0
+            assert backend.errors == 2
 
     def test_push_and_pull_budget_for_110_entries(self, tmp_path, cache_server, monkeypatch):
         """copy_missing moves a 110-entry grid in <= 5 HTTP round trips."""

@@ -5,10 +5,9 @@ Two contracts:
 * **Key sensitivity** — the ``indexed_kernels`` knob is part of every
   strategy's ``cache_signature()``, so fast-plane and reference-plane
   compilations key separate store entries and can never shadow each other.
-* **Content compatibility** — a PR-2-style cached entry (codec round trip)
-  estimated through the new :class:`~repro.noise.IncrementalEstimator`
-  stays bit-identical to estimating the freshly compiled program, for every
-  strategy: codec round-trip x incremental path changes nothing.
+* **Content compatibility** — a cached entry (codec round trip) estimated
+  with :func:`~repro.noise.estimate_success` stays bit-identical to
+  estimating the freshly compiled program, for every strategy.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ import pytest
 
 from repro.analysis.experiments import STRATEGIES
 from repro.core.compiler import CompilationResult
-from repro.noise import IncrementalEstimator, estimate_success
+from repro.noise import estimate_success
 from repro.service import CompileService, CompileJob, cache_key, make_compiler
 from repro.service.compile_service import build_device_for
 from repro.workloads import benchmark_circuit
@@ -57,11 +56,11 @@ def test_service_knob_keys_disjoint_store_entries(tmp_path):
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
-def test_codec_round_trip_times_incremental_is_bit_exact(strategy):
-    """PR-2 cached entries estimated with the new estimator stay bit-identical.
+def test_codec_round_trip_estimate_is_bit_exact(strategy):
+    """Cached entries estimate bit-identically to the fresh program.
 
-    fresh program --codec--> restored program --IncrementalEstimator-->
-    report must equal estimate_success(fresh program) float for float.
+    fresh program --codec--> restored program --estimate_success--> report
+    must equal estimate_success(fresh program) float for float.
     """
     device = build_device_for(BENCH)
     compiler = make_compiler(strategy, device)
@@ -72,11 +71,7 @@ def test_codec_round_trip_times_incremental_is_bit_exact(strategy):
     restored = CompilationResult.from_dict(payload)
 
     fresh_report = estimate_success(result.program)
-    restored_report = (
-        IncrementalEstimator(restored.program.device)
-        .load_program(restored.program)
-        .report()
-    )
+    restored_report = estimate_success(restored.program)
     assert restored_report.success_rate == fresh_report.success_rate
     assert (
         restored_report.crosstalk_fidelity_product
@@ -94,9 +89,9 @@ def test_codec_round_trip_times_incremental_is_bit_exact(strategy):
     assert restored_report.duration_ns == fresh_report.duration_ns
 
 
-def test_warm_hit_estimated_incrementally_matches_cold(tmp_path):
-    """End to end through the service: cold compile, warm load, both
-    estimated through the incremental plane, bit-identical."""
+def test_warm_hit_estimate_matches_cold(tmp_path):
+    """End to end through the service: cold compile and warm load estimate
+    bit-identically."""
     service = CompileService(cache_dir=str(tmp_path))
     job = CompileJob(benchmark=BENCH, strategy="ColorDynamic", seed=SEED)
     cold = service.compile(job)
@@ -105,14 +100,5 @@ def test_warm_hit_estimated_incrementally_matches_cold(tmp_path):
     warm = warm_service.compile(job)
     assert warm.cache_hit
 
-    cold_rate = (
-        IncrementalEstimator(cold.program.device)
-        .load_program(cold.program)
-        .success_rate()
-    )
-    warm_rate = (
-        IncrementalEstimator(warm.program.device)
-        .load_program(warm.program)
-        .success_rate()
-    )
-    assert cold_rate == warm_rate == estimate_success(cold.program).success_rate
+    cold_rate = estimate_success(cold.program).success_rate
+    assert estimate_success(warm.program).success_rate == cold_rate

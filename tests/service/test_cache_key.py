@@ -71,10 +71,6 @@ COMPILER_PERTURBATIONS = {
     "decomposition": lambda: ColorDynamic(_device(), decomposition="cz"),
     "dynamic": lambda: ColorDynamic(_device(), dynamic=False),
     "use_routing": lambda: ColorDynamic(_device(), use_routing=False),
-    "admission": lambda: ColorDynamic(_device(), admission="success"),
-    "admission_beam": lambda: ColorDynamic(
-        _device(), admission="success", admission_beam=2
-    ),
 }
 
 
@@ -113,33 +109,3 @@ class TestPerturbationSensitivity:
         monkeypatch.setattr(repro, "__version__", "0.0.0-test")
         assert _key() != baseline
 
-
-class TestAdmissionDisjointness:
-    """Structural and success admission must never share a store entry."""
-
-    @pytest.mark.parametrize(
-        "strategy",
-        ["Baseline N", "Baseline G", "Baseline U", "Baseline S", "ColorDynamic"],
-    )
-    def test_admission_keys_disjoint_for_every_strategy(self, strategy):
-        device = _device()
-        circuit = benchmark_circuit(BENCH, seed=SEED)
-        keys = {
-            admission: cache_key(
-                make_compiler(strategy, device, admission=admission), circuit
-            )
-            for admission in ("structural", "success")
-        }
-        assert keys["structural"] != keys["success"]
-
-    def test_job_key_carries_admission(self):
-        from repro.service import CompileJob, CompileService
-
-        service = CompileService(enabled=False)
-        structural = service.job_key(
-            CompileJob(benchmark=BENCH, strategy="ColorDynamic")
-        )
-        success = service.job_key(
-            CompileJob(benchmark=BENCH, strategy="ColorDynamic", admission="success")
-        )
-        assert structural != success

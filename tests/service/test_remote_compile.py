@@ -44,6 +44,28 @@ def job_spec(job):
     return {"benchmark": job.benchmark, "strategy": job.strategy}
 
 
+def watch_inflight_waiters(monkeypatch):
+    """Patch the server's ``_Inflight`` so a waiter parking on one is seen.
+
+    Returns an event set the moment any request starts waiting on another
+    request's in-flight compile.
+    """
+    parked = threading.Event()
+
+    class _ParkingEvent(threading.Event):
+        def wait(self, timeout=None):
+            parked.set()
+            return super().wait(timeout)
+
+    class _WatchedInflight(server_mod._Inflight):
+        def __init__(self):
+            super().__init__()
+            self.event = _ParkingEvent()
+
+    monkeypatch.setattr(server_mod, "_Inflight", _WatchedInflight)
+    return parked
+
+
 class TestCompileEndpoint:
     def test_batch_resolves_hit_after_compile(self, cache_server):
         with post_compile(cache_server, [job_spec(JOB), job_spec(JOB)]) as response:
@@ -109,18 +131,7 @@ class TestCrossClientDedup:
             return real_compile(job, name=name)
 
         monkeypatch.setattr(service, "compile", gated_compile)
-
-        store_reads = []
-        second_client_arrived = threading.Event()
-        real_get = cache_server.backend.get
-
-        def counting_get(key):
-            store_reads.append(key)
-            if len(store_reads) >= 2:
-                second_client_arrived.set()
-            return real_get(key)
-
-        monkeypatch.setattr(cache_server.backend, "get", counting_get)
+        second_client_parked = watch_inflight_waiters(monkeypatch)
 
         compiled_before = server_mod._SERVER_COMPILE_JOBS.value(outcome="compiled")
         deduped_before = server_mod._SERVER_COMPILE_JOBS.value(outcome="deduplicated")
@@ -135,11 +146,9 @@ class TestCrossClientDedup:
         assert compile_started.wait(timeout=60)
         second = threading.Thread(target=client, args=(1,))
         second.start()
-        # The second request has probed the store (miss) and is registering
-        # as an in-flight waiter; the owner still has a full compile to run
-        # after release, so the waiter is parked well before the entry
-        # retires.
-        assert second_client_arrived.wait(timeout=60)
+        # The owner's compile is released only once the second request is
+        # parked on its in-flight event, so the second is deduplicated.
+        assert second_client_parked.wait(timeout=60)
         release_compile.set()
         first.join(timeout=120)
         second.join(timeout=120)
@@ -150,6 +159,61 @@ class TestCrossClientDedup:
         jobs_metric = server_mod._SERVER_COMPILE_JOBS
         assert jobs_metric.value(outcome="compiled") == compiled_before + 1
         assert jobs_metric.value(outcome="deduplicated") == deduped_before + 1
+
+    def test_request_registering_after_owner_retired_is_a_hit(
+        self, cache_server, monkeypatch
+    ):
+        """A request that misses the store, then registers in-flight only
+        after the owner persisted and retired the key, must not compile the
+        key a second time: it re-probes the store and answers ``hit``."""
+        service = cache_server.compile_service()
+        cold_compiles = []
+        real_compile = service.compile
+
+        def counting_compile(job, name=None):
+            cold_compiles.append(job)
+            return real_compile(job, name=name)
+
+        monkeypatch.setattr(service, "compile", counting_compile)
+
+        late_missed = threading.Event()
+        owner_retired = threading.Event()
+        held = []
+        real_get = cache_server.backend.get
+
+        def holding_get(key):
+            payload = real_get(key)
+            if not held:
+                # The first store probe belongs to the late request: hold it
+                # just after its miss until the owner has come and gone.
+                held.append(key)
+                late_missed.set()
+                owner_retired.wait(timeout=60)
+            return payload
+
+        monkeypatch.setattr(cache_server.backend, "get", holding_get)
+
+        jobs_metric = server_mod._SERVER_COMPILE_JOBS
+        compiled_before = jobs_metric.value(outcome="compiled")
+        hits_before = jobs_metric.value(outcome="hit")
+        results = {}
+
+        def client(role):
+            results[role] = RemoteCompileClient(cache_server.url).compile_jobs([JOB])
+
+        late = threading.Thread(target=client, args=("late",))
+        late.start()
+        assert late_missed.wait(timeout=60)
+        # The owner's response is sent only after its entry is retired.
+        client("owner")
+        owner_retired.set()
+        late.join(timeout=120)
+
+        assert len(cold_compiles) == 1
+        assert results["owner"] is not None
+        assert results["late"] == results["owner"]
+        assert jobs_metric.value(outcome="compiled") == compiled_before + 1
+        assert jobs_metric.value(outcome="hit") == hits_before + 1
 
 
 class TestQueueBackpressure:
@@ -344,6 +408,20 @@ class TestServiceRouting:
         assert service.stats.misses == 0
         for job in (JOB, OTHER_JOB):
             assert cache_server.backend.contains(service.job_key(job))
+
+    def test_remote_served_batch_reports_client_latency(self, tmp_path, cache_server):
+        service = CompileService(
+            cache_dir=str(tmp_path / "local"), remote_compile=cache_server.url
+        )
+        jobs = [JOB, OTHER_JOB]
+        results = service.compile_batch(jobs)
+        assert service.stats.remote_compiles == len(jobs)
+        assert service.stats.load_time_s > 0
+        assert all(result.load_time_s > 0 for result in results)
+        assert service.stats.load_time_s == pytest.approx(
+            sum(result.load_time_s for result in results)
+        )
+        assert service.stats.compile_time_s == 0.0  # nothing compiled locally
 
 
 class TestRemoteCompileCLI:
