@@ -6,11 +6,15 @@ records how long the experiment takes.  Experiments are executed once per
 benchmark (``pedantic`` mode) because they are deterministic and some of the
 larger sweeps take seconds.
 
-The ``test_perf_*`` modules (the ones asserting speedup targets and
-rewriting ``BENCH_*.json``) carry the ``perf`` marker and honour the
-``REPRO_SKIP_PERF=1`` environment knob, so developers off-CI can run the
-figure benchmarks without paying for — or accidentally rewriting — the
-tracked performance numbers: ``REPRO_SKIP_PERF=1 pytest benchmarks``.
+The ``test_perf_*`` modules (the ones asserting speedup targets) carry the
+``perf`` marker and honour the ``REPRO_SKIP_PERF=1`` environment knob, so
+developers off-CI can run the figure benchmarks without paying for the perf
+gates: ``REPRO_SKIP_PERF=1 pytest benchmarks``.
+
+A plain ``pytest`` run leaves the tree untouched: the perf modules rewrite
+the tracked ``BENCH_compile.json``, ``BENCH_estimator.json`` and
+``BENCH_obs.json`` at the repo root only when asked to, with
+``pytest benchmarks --write-bench``.  Their assertions run either way.
 """
 
 from __future__ import annotations
@@ -20,6 +24,21 @@ import os
 import pytest
 
 from repro.service.testing import hermetic_cache_env
+
+
+def pytest_addoption(parser):
+    parser.addoption(
+        "--write-bench",
+        action="store_true",
+        default=False,
+        help="let the test_perf_* benchmarks rewrite the tracked BENCH_*.json files",
+    )
+
+
+@pytest.fixture()
+def write_bench(request) -> bool:
+    """Whether this run may rewrite the tracked ``BENCH_*.json`` files."""
+    return request.config.getoption("--write-bench")
 
 
 def pytest_collection_modifyitems(config, items):

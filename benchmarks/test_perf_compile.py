@@ -1,7 +1,8 @@
 """Perf tracking: the cold compile path and the compile cache on the Fig. 9 grid.
 
 Two regressions are guarded, both written into ``BENCH_compile.json`` at the
-repo root so the performance trajectory is tracked from PR to PR:
+repo root under ``--write-bench`` so the performance trajectory is tracked
+from PR to PR:
 
 * **Cold path (PR 3).**  Every point of the fig09 compile grid is compiled
   directly — prebuilt compilers, fresh devices per repeat so the device-held
@@ -187,7 +188,7 @@ def _run_perf_suite_frozen(jobs):
     }
 
 
-def test_perf_compile(benchmark):
+def test_perf_compile(benchmark, write_bench):
     results = run_once(benchmark, _run_perf_suite)
 
     rows = [
@@ -219,7 +220,8 @@ def test_perf_compile(benchmark):
         f"target >= {WARM_SPEEDUP_TARGET:.0f}x)"
     )
 
-    _RESULT_PATH.write_text(json.dumps(results, indent=2) + "\n")
+    if write_bench:
+        _RESULT_PATH.write_text(json.dumps(results, indent=2) + "\n")
 
     warm = results["warm_stats"]
     assert warm["misses"] == 0, "cache-hot pass recompiled something"

@@ -2,8 +2,9 @@
 
 Times both estimator engines on every compiled Fig. 9 benchmark plus a
 36-qubit grid stress benchmark, asserts the vectorized engine's speedup
-target on the stress case, and writes ``BENCH_estimator.json`` at the repo
-root so the performance trajectory is tracked from PR to PR.
+target on the stress case, and (under ``--write-bench``) writes
+``BENCH_estimator.json`` at the repo root so the performance trajectory is
+tracked from PR to PR.
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ def _run_perf_suite():
     }
 
 
-def test_perf_estimator(benchmark):
+def test_perf_estimator(benchmark, write_bench):
     results = run_once(benchmark, _run_perf_suite)
 
     rows = [
@@ -91,7 +92,8 @@ def test_perf_estimator(benchmark):
         f"(target >= {SPEEDUP_TARGET:.0f}x)"
     )
 
-    _RESULT_PATH.write_text(json.dumps(results, indent=2) + "\n")
+    if write_bench:
+        _RESULT_PATH.write_text(json.dumps(results, indent=2) + "\n")
 
     assert results["stress_speedup"] >= SPEEDUP_TARGET, (
         f"vectorized estimator only {results['stress_speedup']:.1f}x faster on "

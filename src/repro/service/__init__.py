@@ -9,8 +9,8 @@ machines:
 * :mod:`~repro.service.cache_key` — deterministic, content-addressed cache
   keys hashing the circuit, the full device physics and every compiler knob;
 * :mod:`~repro.service.backends` — pluggable storage backends sharing that
-  key scheme: the indexed on-disk :class:`LocalFSBackend` (O(1) ``stats()``,
-  LRU eviction under a byte budget), the :class:`HTTPBackend` client for a
+  key scheme: the on-disk :class:`LocalFSBackend` (one ``marshal`` file per
+  entry, LRU eviction under a byte budget), the :class:`HTTPBackend` client for a
   shared cache server, and the read-through :class:`TieredStore`
   composition (local -> remote with write-back);
 * :mod:`~repro.service.store` — the :class:`ProgramStore` facade composing

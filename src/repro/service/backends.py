@@ -1,14 +1,14 @@
 """Pluggable storage backends for the compiled-program store.
 
 PR 2 fixed the *content* of the store — content-addressed SHA-256 keys over
-circuit + device physics + compiler knobs, JSON payloads, codec-versioned
+circuit + device physics + compiler knobs, payload dicts, codec-versioned
 namespaces — and PR 4 makes its *location* pluggable.  Every backend speaks
 the same key scheme, so a compiled program is interchangeable between them:
 
-* :class:`LocalFSBackend` — the original on-disk layout
-  (``<root>/v<codec>/<key[:2]>/<key>.json``), now with a persisted index
-  file (entry count, byte footprint, per-entry ``last_used``) that makes
-  ``stats()`` O(1) and enables LRU eviction under a byte budget;
+* :class:`LocalFSBackend` — the on-disk layout
+  (``<root>/v<codec>/<key[:2]>/<key>.marshal``, one ``marshal`` file per
+  entry), with ``stats()`` computed by a directory scan and LRU eviction
+  under a byte budget;
 * :class:`HTTPBackend` — a client for the ``python -m repro cache serve``
   server (:mod:`repro.service.server`), so a fleet of CI workers shares one
   warm cache.  Network failures degrade to misses, never to errors;
@@ -28,6 +28,7 @@ from __future__ import annotations
 import abc
 import contextlib
 import json
+import marshal
 import os
 import re
 import shutil
@@ -240,7 +241,8 @@ class StoreBackend(abc.ABC):
     """What every program-store backend implements.
 
     Keys are 64-char hex SHA-256 digests (see
-    :mod:`repro.service.cache_key`); payloads are JSON-serializable dicts.
+    :mod:`repro.service.cache_key`); payloads are JSON-serializable dicts
+    (the HTTP wire is JSON; the local tier stores them as ``marshal``).
     Backends must treat unreadable or undecodable entries as misses, and
     ``put`` must be last-writer-wins safe under concurrent writers.
     """
@@ -288,8 +290,7 @@ class StoreBackend(abc.ABC):
         """Persist many entries; returns how many writes succeeded.
 
         The base implementation loops over :meth:`put` (so per-write LRU
-        eviction and index updates still apply); batched backends override
-        it.  A failed write is skipped and not counted, never raised.
+        eviction still applies); batched backends override it.  A failed write is skipped and not counted, never raised.
         """
         return sum(1 for key, payload in entries.items() if self.put(key, payload))
 
@@ -311,29 +312,34 @@ class StoreBackend(abc.ABC):
 
 
 # ---------------------------------------------------------------------------
-# local filesystem backend (+ persisted index, LRU eviction)
+# local filesystem backend (scan-based stats, LRU eviction)
 # ---------------------------------------------------------------------------
 class LocalFSBackend(StoreBackend):
-    """The content-addressed on-disk layout, plus a persisted index.
+    """The content-addressed on-disk layout::
 
-    Layout (unchanged from PR 2, so existing caches keep working)::
+        <root>/v<codec-version>/<key[:2]>/<key>.marshal
 
-        <root>/v<codec-version>/<key[:2]>/<key>.json
+    Each entry is the payload dict as ``marshal`` bytes (format 4): the
+    same dict the JSON codec produced, NaN and list types included, at a
+    fraction of the encode cost.  ``marshal`` only ever reads files this
+    toolchain wrote into the user's own cache directory (the trust
+    boundary of ``__pycache__``); payloads arriving over the network are
+    JSON-decoded by :class:`HTTPBackend` and the cache server first.
+    Entries written before the binary format (``<key>.json``) are never
+    read: ``stats()`` counts them as stale and ``clear()`` removes them.
 
-    New in PR 4 is ``<root>/v<codec-version>/index.json``: entry count,
-    total byte footprint and per-entry ``[bytes, last_used]`` metadata, kept
-    in lockstep with the entry files under an ``fcntl`` file lock
-    (``index.lock``) so concurrent sweep workers sharing one directory never
-    tear it.  ``stats()`` answers from the index in O(1) instead of
-    statting every entry; a missing or corrupt index is rebuilt from a
-    filesystem scan (entries written by pre-index versions get their file
-    mtime as ``last_used``).  ``evict()`` removes least-recently-used
-    entries until the store fits a byte budget; with ``max_bytes`` set, the
-    budget is enforced after every ``put``.
+    A ``put`` is one temp-file write plus an atomic rename, and ``delete``
+    one unlink; there is no index to keep in step.  ``stats()`` and
+    ``evict()`` derive the entry set from a directory scan, so they can
+    never disagree with the files.  ``evict()`` removes least-recently-used
+    entries (recency = the freshest of atime and mtime) until the store
+    fits a byte budget, under an ``fcntl`` file lock so concurrent sweep
+    workers sharing one directory never race each other's eviction pass;
+    with ``max_bytes`` set, every ``put`` ends in one.
     """
 
-    #: Bumped when the index layout changes; mismatches trigger a rebuild.
-    INDEX_VERSION = 1
+    #: Entry file suffix; the ``.json`` entries of older toolchains are stale.
+    ENTRY_SUFFIX = ".marshal"
 
     #: A hit only re-stamps an entry's atime when the current stamp is older
     #: than this.  Minute-level recency is ample for LRU eviction, and the
@@ -350,30 +356,24 @@ class LocalFSBackend(StoreBackend):
         self.format = f"v{PROGRAM_CODEC_VERSION}"
         self.max_bytes = max_bytes
         self._dir = self.root / self.format
-        self._index_path = self._dir / "index.json"
         # The lock lives *outside* the version directory on purpose: clear()
         # rmtree's <root>/v*, and unlinking a held lock file would let a
         # later locker acquire a fresh inode while the old holder still runs
-        # — two "exclusive" holders mutating the index concurrently.
-        self._lock_path = self.root / f"index-{self.format}.lock"
+        # — two "exclusive" evictions of one store at once.
+        self._lock_path = self.root / f"evict-{self.format}.lock"
 
     def _path(self, key: str) -> Path:
-        return self._dir / key[:2] / f"{key}.json"
+        return self._dir / key[:2] / f"{key}{self.ENTRY_SUFFIX}"
 
-    # ------------------------------------------------------------------
-    # index machinery
-    # ------------------------------------------------------------------
+    def _entry_files(self) -> Iterator[Path]:
+        """Every current-format entry file (none when the store is empty)."""
+        if self._dir.is_dir():
+            yield from self._dir.glob(f"*/*{self.ENTRY_SUFFIX}")
+
     @contextmanager
-    def _index_lock(self) -> Iterator[None]:
-        """Exclusive inter-process lock guarding index mutations.
-
-        One full index rewrite per mutation under this lock is a deliberate
-        tradeoff: entry counts are small (a full figure grid is ~100
-        entries, low-KB JSON), and the lock is held for microseconds.  If
-        fleet-scale caches ever make the put path contend here, the ROADMAP
-        sketches an append-only journal compacted on stats()/evict().
-        """
-        self._dir.mkdir(parents=True, exist_ok=True)
+    def _evict_lock(self) -> Iterator[None]:
+        """Exclusive inter-process lock serializing eviction passes."""
+        self.root.mkdir(parents=True, exist_ok=True)
         if fcntl is None:  # pragma: no cover - non-POSIX: best-effort, no lock
             yield
             return
@@ -384,105 +384,23 @@ class LocalFSBackend(StoreBackend):
             finally:
                 fcntl.flock(handle.fileno(), fcntl.LOCK_UN)
 
-    def _load_index(self) -> Optional[dict]:
-        """The persisted index, or ``None`` when missing/corrupt."""
-        try:
-            raw = json.loads(self._index_path.read_text())
-        except (OSError, ValueError):
-            return None
-        if not isinstance(raw, dict) or raw.get("version") != self.INDEX_VERSION:
-            return None
-        entries = raw.get("entries")
-        total = raw.get("total_bytes")
-        if not isinstance(entries, dict) or not isinstance(total, int):
-            return None
-        for meta in entries.values():
-            # [size_bytes, last_used]; anything else (including well-formed
-            # JSON with the wrong element types) counts as corrupt and
-            # triggers the rebuild scan instead of a downstream TypeError.
-            if not (
-                isinstance(meta, list)
-                and len(meta) == 2
-                and isinstance(meta[0], int)
-                and isinstance(meta[1], (int, float))
-                and not isinstance(meta[0], bool)
-                and not isinstance(meta[1], bool)
-            ):
-                return None
-        return raw
-
-    def _write_index(self, index: dict) -> None:
-        fd, tmp = tempfile.mkstemp(prefix=".index-", dir=self._dir)
-        try:
-            with os.fdopen(fd, "w") as handle:
-                json.dump(index, handle)
-            os.replace(tmp, self._index_path)
-        except BaseException:
-            with contextlib.suppress(OSError):
-                os.unlink(tmp)
-            raise
-
-    def _scan(self) -> dict:
-        """Rebuild index content from the entry files themselves.
+    def _scan(self) -> Dict[str, Tuple[int, float]]:
+        """``{key: (size_bytes, last_used)}`` for every entry on disk.
 
         ``last_used`` is the freshest of the file's atime (refreshed by every
         cache hit) and mtime (the write stamp).  Tolerates entries
         disappearing mid-scan (a concurrent ``clear()`` or eviction): a file
         deleted between the directory listing and its ``stat()`` is simply
-        not indexed, never an error.
+        skipped, never an error.
         """
-        entries: Dict[str, list] = {}
-        total = 0
-        if self._dir.is_dir():
-            for path in self._dir.glob("*/*.json"):
-                try:
-                    info = path.stat()
-                except OSError:
-                    continue
-                size = int(info.st_size)
-                entries[path.stem] = [size, max(info.st_atime, info.st_mtime)]
-                total += size
-        return {"version": self.INDEX_VERSION, "entries": entries, "total_bytes": total}
-
-    def _mutate_index(self, mutate) -> None:
-        """Apply *mutate(index)* under the lock and persist the result."""
-        with self._index_lock():
-            index = self._load_index()
-            if index is None:
-                index = self._scan()
-            mutate(index)
-            self._write_index(index)
-
-    def _evict_locked(self, index: dict, max_bytes: int) -> Tuple[int, int]:
-        """Drop LRU entries (index + files) until the total fits the budget.
-
-        Runs only when the store is over budget, so the recency refresh —
-        folding each entry's live atime (cache hits touch it without going
-        through the index) into the recorded ``last_used`` — costs one
-        ``stat()`` per entry on eviction events, never on the hot path.
-        """
-        entries = index["entries"]
-        if index["total_bytes"] <= max_bytes:
-            return (0, 0)
-        for key, meta in entries.items():
+        entries: Dict[str, Tuple[int, float]] = {}
+        for path in self._entry_files():
             try:
-                info = os.stat(self._path(key))
+                info = path.stat()
             except OSError:
                 continue
-            meta[1] = max(meta[1], info.st_atime, info.st_mtime)
-        removed = freed = 0
-        # Oldest last_used first; the key breaks exact-timestamp ties so the
-        # eviction order is deterministic.
-        for key in sorted(entries, key=lambda k: (entries[k][1], k)):
-            if index["total_bytes"] <= max_bytes:
-                break
-            size = entries.pop(key)[0]
-            index["total_bytes"] -= size
-            with contextlib.suppress(OSError):
-                os.unlink(self._path(key))
-            removed += 1
-            freed += size
-        return removed, freed
+            entries[path.stem] = (int(info.st_size), max(info.st_atime, info.st_mtime))
+        return entries
 
     # ------------------------------------------------------------------
     # entry access
@@ -499,11 +417,11 @@ class LocalFSBackend(StoreBackend):
         path = self._path(key)
         start = time.perf_counter()
         try:
-            text = path.read_text()
-            payload = json.loads(text)
-        except (OSError, ValueError):
-            # ValueError covers JSONDecodeError and UnicodeDecodeError:
-            # truncated, non-UTF-8 or otherwise mangled entries are misses.
+            payload = marshal.loads(path.read_bytes())
+        except (OSError, EOFError, ValueError, TypeError):
+            # Truncated, mangled or foreign bytes: a miss, never an error.
+            payload = None
+        if not isinstance(payload, dict):
             _observe_op(start, "local", "get", "miss")
             return None
         self._touch(path)
@@ -522,32 +440,26 @@ class LocalFSBackend(StoreBackend):
             pass  # deleted by a concurrent eviction/clear: nothing to stamp
 
     def put(self, key: str, payload: dict) -> bool:
-        """Atomically persist *payload* under *key* (last writer wins)."""
+        """Atomically persist *payload* under *key* (last writer wins).
+
+        With ``max_bytes`` set, an eviction pass follows the write, so the
+        budget holds after every ``put``.
+        """
         start = time.perf_counter()
+        data = marshal.dumps(payload, 4)
         path = self._path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        data = json.dumps(payload)
         fd, tmp = tempfile.mkstemp(prefix=f".{key[:8]}-", dir=path.parent)
         try:
-            with os.fdopen(fd, "w") as handle:
+            with os.fdopen(fd, "wb") as handle:
                 handle.write(data)
             os.replace(tmp, path)
         except BaseException:
             with contextlib.suppress(OSError):
                 os.unlink(tmp)
             raise
-        size = len(data.encode())
-
-        def update(index: dict) -> None:
-            previous = index["entries"].get(key)
-            if previous is not None:
-                index["total_bytes"] -= previous[0]
-            index["entries"][key] = [size, time.time()]
-            index["total_bytes"] += size
-            if self.max_bytes is not None:
-                self._evict_locked(index, self.max_bytes)
-
-        self._mutate_index(update)
+        if self.max_bytes is not None:
+            self.evict(self.max_bytes)
         _observe_op(start, "local", "put", "ok")
         return True
 
@@ -555,98 +467,81 @@ class LocalFSBackend(StoreBackend):
         return self._path(key).is_file()
 
     def keys(self) -> Iterator[str]:
-        """Iterate over every key stored under the current codec version.
-
-        The filesystem — not the index — is authoritative here, so keys
-        written by pre-index toolchain versions are still served.
-        """
-        if not self._dir.is_dir():
-            return
-        for entry in sorted(self._dir.glob("*/*.json")):
-            yield entry.stem
+        """Iterate over every key stored under the current codec version."""
+        for path in sorted(self._entry_files()):
+            yield path.stem
 
     def delete(self, key: str) -> bool:
         try:
             os.unlink(self._path(key))
-            existed = True
-        except FileNotFoundError:
-            # The file is already gone (crash between a past unlink and its
-            # index update, or an out-of-band removal) — still retire any
-            # ghost index record below, or it would inflate stats() and
-            # eviction budgets forever.
-            existed = False
         except OSError:
-            return False  # entry still on disk (e.g. permissions): index stays true
-
-        def update(index: dict) -> None:
-            meta = index["entries"].pop(key, None)
-            if meta is not None:
-                index["total_bytes"] -= meta[0]
-
-        self._mutate_index(update)
-        return existed
+            return False
+        return True
 
     # ------------------------------------------------------------------
     # maintenance
     # ------------------------------------------------------------------
-    def clear(self) -> int:
-        """Remove every stored entry (all codec versions); return the count.
+    def _stored_files(self) -> Iterator[Path]:
+        """Every entry file under ``<root>/v*``, of any codec version or format."""
+        if not self.root.is_dir():
+            return
+        for version_dir in self.root.glob("v*"):
+            for path in version_dir.glob("*/*"):
+                if _KEY_PATTERN.match(path.stem):
+                    yield path
 
-        The count comes from a directory listing that tolerates concurrent
+    def clear(self) -> int:
+        """Remove every stored entry (all codec versions and formats).
+
+        Returns the count of entry files found, current and stale.  The
+        count comes from a directory listing that tolerates concurrent
         deletions, and ``rmtree`` ignores races with other writers — two
         simultaneous ``clear()`` calls both succeed.
         """
-        removed = 0
+        removed = sum(1 for _ in self._stored_files())
         if self.root.is_dir():
             for version_dir in self.root.glob("v*"):
-                if not version_dir.is_dir():
-                    continue
-                removed += sum(1 for _ in version_dir.glob("*/*.json"))
-                shutil.rmtree(version_dir, ignore_errors=True)
+                if version_dir.is_dir():
+                    shutil.rmtree(version_dir, ignore_errors=True)
         return removed
 
     def evict(self, max_bytes: int) -> Tuple[int, int]:
         """LRU-evict entries until the store footprint fits *max_bytes*.
 
-        The entry set and the recency stamps are both re-derived from the
-        filesystem (atime = last hit, mtime = last write), so eviction never
-        trusts a drifted index; the surviving entries are persisted back as
-        the healed index.
+        The entry set and the recency stamps are both read from the
+        filesystem (atime = last hit, mtime = last write) under the
+        eviction lock.  Oldest first; the key breaks exact-timestamp ties so
+        the order is deterministic.
         """
-        with self._index_lock():
-            index = self._scan()
-            removed, freed = self._evict_locked(index, max_bytes)
-            self._write_index(index)
+        removed = freed = 0
+        with self._evict_lock():
+            entries = self._scan()
+            total = sum(size for size, _ in entries.values())
+            for key in sorted(entries, key=lambda k: (entries[k][1], k)):
+                if total <= max_bytes:
+                    break
+                size = entries[key][0]
+                total -= size  # gone either way: evicted here or already deleted
+                if self.delete(key):
+                    removed += 1
+                    freed += size
         return removed, freed
 
     def stats(self) -> Dict[str, object]:
-        """Entry count and byte footprint of the current codec version.
-
-        O(1) via the persisted index; a missing or corrupt index triggers a
-        one-time rebuild scan (also persisted, healing the index).  Only
-        the stale-version count still walks other ``v*`` directories.
-        """
-        index = self._load_index()
-        if index is None:
-            if self._dir.is_dir():
-                with self._index_lock():
-                    index = self._load_index()  # re-check under the lock
-                    if index is None:
-                        index = self._scan()
-                        self._write_index(index)
-            else:
-                index = {"entries": {}, "total_bytes": 0}
-        stale = 0
-        if self.root.is_dir():
-            for version_dir in self.root.glob("v*"):
-                if version_dir != self._dir and version_dir.is_dir():
-                    stale += sum(1 for _ in version_dir.glob("*/*.json"))
+        """Entry count and byte footprint of the current codec version,
+        from a directory scan (an empty store creates nothing)."""
+        entries = self._scan()
         return {
             "path": str(self.root),
             "format": self.format,
-            "entries": len(index["entries"]),
-            "total_bytes": index["total_bytes"],
-            "stale_entries": stale,
+            "entries": len(entries),
+            "total_bytes": sum(size for size, _ in entries.values()),
+            # Other codec versions, and pre-binary ``<key>.json`` entries.
+            "stale_entries": sum(
+                1
+                for path in self._stored_files()
+                if path.parent.parent != self._dir or path.suffix != self.ENTRY_SUFFIX
+            ),
             "max_bytes": self.max_bytes,
         }
 
@@ -734,6 +629,8 @@ class HTTPBackend(StoreBackend):
         try:
             with self._open("GET", f"/{self.format}/{key}") as response:
                 payload = json.loads(response.read().decode("utf-8"))
+            if not isinstance(payload, dict):
+                raise ValueError("entry payload is not an object")
         except urllib.error.HTTPError as error:
             if error.code == 404:
                 self._note_success()  # the server answered; a miss is healthy

@@ -5,9 +5,8 @@ storage mechanics into :mod:`repro.service.backends` and left this module
 as the composition point the rest of the toolchain talks to:
 
 * a plain ``ProgramStore(root)`` is the original content-addressed on-disk
-  store (:class:`~repro.service.backends.LocalFSBackend` — same layout,
-  same atomic-write and corrupt-entry-is-a-miss contracts, now with a
-  persisted index and LRU eviction);
+  store (:class:`~repro.service.backends.LocalFSBackend` — one ``marshal``
+  file per entry, atomic writes, corrupt entries are misses, LRU eviction);
 * ``ProgramStore(root, remote_url=...)`` tiers the local store in front of
   a shared cache server (read-through local -> remote with write-back, so
   a fleet of workers shares one warm cache);
@@ -83,7 +82,7 @@ def _remote_url(backend: StoreBackend) -> Optional[str]:
 
 
 class ProgramStore:
-    """A content-addressed key -> JSON-payload store over pluggable backends.
+    """A content-addressed key -> payload-dict store over pluggable backends.
 
     Parameters
     ----------
@@ -213,11 +212,7 @@ class ProgramStore:
         yield from self.backend.keys()
 
     def delete(self, key: str) -> bool:
-        """Remove the entry under *key*; ``True`` if one existed.
-
-        Also retires the entry's index record, so a ghost record can never
-        outlive its file.
-        """
+        """Remove the entry under *key*; ``True`` if one existed."""
         return self.backend.delete(key)
 
     # ------------------------------------------------------------------
@@ -244,8 +239,8 @@ class ProgramStore:
     def stats(self) -> Dict[str, object]:
         """Entry count, byte footprint and store location as a plain dict.
 
-        O(1) via the persisted ``index.json``; a missing or corrupt index
-        is rebuilt from a filesystem scan first.
+        Computed by a scan of the local entry files; entries of other codec
+        versions or of the pre-binary ``.json`` format count as stale.
         """
         return self.backend.stats()
 

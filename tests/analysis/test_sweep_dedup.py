@@ -123,10 +123,8 @@ def test_repeated_process_sweep_recompiles_nothing(tmp_path):
     first = runner.run(jobs)
 
     def entry_files():
-        # Entry payloads live in the two-level sharded layout; the store
-        # index (v*/index.json) is metadata and legitimately changes on
-        # every hit (its last_used stamps are what LRU eviction orders by).
-        return sorted(cache_dir.glob("v*/??/*.json"))
+        # Entry payloads live in the two-level sharded layout.
+        return sorted(cache_dir.glob("v*/??/*.marshal"))
 
     entries = entry_files()
     assert len(entries) == distinct

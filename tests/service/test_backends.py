@@ -1,10 +1,16 @@
-"""Pluggable store backends: index-backed local store, tiering, syncing."""
+"""Pluggable store backends: local store, tiering, syncing."""
 
 import json
+import marshal
+import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.service import ProgramStore
 from repro.service.backends import (
     HTTPBackend,
@@ -27,15 +33,7 @@ def pin_recency(backend, key, stamp_s: int) -> None:
     os.utime(backend._path(key), ns=(stamp_s * 10**9, stamp_s * 10**9))
 
 
-class TestLocalIndex:
-    def test_index_file_persisted_next_to_entries(self, tmp_path):
-        backend = LocalFSBackend(tmp_path)
-        backend.put(KEY_A, entry_payload("a"))
-        assert backend._index_path.is_file()
-        index = json.loads(backend._index_path.read_text())
-        assert set(index["entries"]) == {KEY_A}
-        assert index["total_bytes"] == backend._path(KEY_A).stat().st_size
-
+class TestLocalStats:
     def test_stats_tracks_put_overwrite_delete(self, tmp_path):
         backend = LocalFSBackend(tmp_path)
         backend.put(KEY_A, entry_payload("a"))
@@ -54,81 +52,17 @@ class TestLocalIndex:
         stats = backend.stats()
         assert stats["entries"] == 1
         assert stats["total_bytes"] == backend._path(KEY_A).stat().st_size
-
-    def test_stats_answers_from_index_not_from_a_scan(self, tmp_path):
-        """O(1) contract: stats() trusts the index instead of statting entries."""
-        backend = LocalFSBackend(tmp_path)
-        backend.put(KEY_A, entry_payload("a"))
-        index = json.loads(backend._index_path.read_text())
-        index["total_bytes"] = 123456  # a scan would contradict this
-        backend._index_path.write_text(json.dumps(index))
-        assert backend.stats()["total_bytes"] == 123456
-
-    def test_corrupt_index_rebuilt_and_healed(self, tmp_path):
-        backend = LocalFSBackend(tmp_path)
-        backend.put(KEY_A, entry_payload("a"))
-        backend.put(KEY_B, entry_payload("b"))
-        backend._index_path.write_text("{ not json")
+        os.unlink(backend._path(KEY_A))  # crash/out-of-band removal
         stats = backend.stats()
-        assert stats["entries"] == 2
-        assert stats["total_bytes"] == sum(
-            backend._path(k).stat().st_size for k in (KEY_A, KEY_B)
-        )
-        # The rebuild was persisted: the index decodes again.
-        healed = json.loads(backend._index_path.read_text())
-        assert set(healed["entries"]) == {KEY_A, KEY_B}
-
-    def test_missing_index_rebuilt_from_preexisting_entries(self, tmp_path):
-        backend = LocalFSBackend(tmp_path)
-        backend.put(KEY_A, entry_payload("a"))
-        backend._index_path.unlink()  # e.g. a store written by PR 2/3 code
-        assert backend.stats()["entries"] == 1
-        assert backend._index_path.is_file()
-
-    def test_wrong_index_version_triggers_rebuild(self, tmp_path):
-        backend = LocalFSBackend(tmp_path)
-        backend.put(KEY_A, entry_payload("a"))
-        index = json.loads(backend._index_path.read_text())
-        index["version"] = 999
-        backend._index_path.write_text(json.dumps(index))
-        assert backend.stats()["entries"] == 1
-
-    def test_index_with_wrong_element_types_counts_as_corrupt(self, tmp_path):
-        """Well-formed JSON with non-numeric metadata rebuilds, never TypeErrors."""
-        backend = LocalFSBackend(tmp_path, max_bytes=10**9)
-        backend.put(KEY_A, entry_payload("a"))
-        backend._index_path.write_text(
-            json.dumps(
-                {"version": 1, "total_bytes": 0, "entries": {KEY_A: ["a", "b"]}}
-            )
-        )
-        assert backend.stats()["entries"] == 1  # rebuilt from the scan
-        backend.put(KEY_B, entry_payload("b"))  # arithmetic on meta must not crash
-        assert backend.evict(0)[0] == 2
+        assert stats["entries"] == 0
+        assert stats["total_bytes"] == 0
+        assert backend.delete(KEY_A) is False
 
     def test_stats_on_empty_store_creates_nothing(self, tmp_path):
         backend = LocalFSBackend(tmp_path / "never-written")
         stats = backend.stats()
         assert stats["entries"] == 0 and stats["total_bytes"] == 0
         assert not (tmp_path / "never-written").exists()
-
-    def test_delete_retires_ghost_index_records(self, tmp_path):
-        """delete() of an out-of-band-removed file still cleans the index."""
-        backend = LocalFSBackend(tmp_path)
-        backend.put(KEY_A, entry_payload("a"))
-        os.unlink(backend._path(KEY_A))  # crash/out-of-band removal
-        assert backend.stats()["entries"] == 1  # the ghost record
-        assert backend.delete(KEY_A) is False
-        stats = backend.stats()
-        assert stats["entries"] == 0
-        assert stats["total_bytes"] == 0
-
-    def test_index_not_listed_as_an_entry(self, tmp_path):
-        backend = LocalFSBackend(tmp_path)
-        backend.put(KEY_A, entry_payload("a"))
-        backend.stats()
-        assert list(backend.keys()) == [KEY_A]
-        assert backend.clear() == 1
 
 
 class TestLocalEviction:
@@ -188,17 +122,118 @@ class TestLocalEviction:
         assert bounded.contains(KEY_C)
         assert not bounded.contains(KEY_A)
 
-    def test_evict_rebuilds_from_filesystem_truth(self, tmp_path):
-        """Entries missing from a drifted index are still evictable."""
+
+    def test_budget_holds_with_two_concurrent_writer_processes(self, tmp_path):
+        """Each put ends in an eviction pass under the file lock, so the store
+        fits its budget once two processes have raced their writes."""
+        size = len(marshal.dumps(entry_payload("a", pad=512), 4))
+        budget = 10 * size
+        writer = (
+            "import sys\n"
+            "from repro.service.backends import LocalFSBackend\n"
+            "backend = LocalFSBackend(sys.argv[1], max_bytes=int(sys.argv[2]))\n"
+            "for i in range(40):\n"
+            "    key = f'{sys.argv[3]}{i:02x}' + '0' * 61\n"
+            "    backend.put(key, {'tag': 'a', 'pad': 'x' * 512})\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(Path(repro.__file__).parent.parent), env.get("PYTHONPATH")])
+        )
+        procs = [
+            subprocess.Popen(
+                [sys.executable, "-c", writer, str(tmp_path), str(budget), tag],
+                env=env,
+            )
+            for tag in ("a", "b")
+        ]
+        for proc in procs:
+            assert proc.wait(timeout=60) == 0
+        backend = LocalFSBackend(tmp_path)
+        stats = backend.stats()
+        assert 0 < stats["total_bytes"] <= budget
+        assert stats["entries"] == len(list(backend.keys()))
+        assert not [p for p in tmp_path.rglob(".*") if p.is_file()]  # no temp files
+
+
+def assert_same_payload(actual, expected, where="payload"):
+    """Type-exact structural equality that treats NaN as equal to NaN."""
+    assert type(actual) is type(expected), f"{where}: {type(actual)} != {type(expected)}"
+    if isinstance(expected, dict):
+        assert list(actual) == list(expected), where
+        for key in expected:
+            assert_same_payload(actual[key], expected[key], f"{where}.{key}")
+    elif isinstance(expected, list):
+        assert len(actual) == len(expected), where
+        for index, (left, right) in enumerate(zip(actual, expected)):
+            assert_same_payload(left, right, f"{where}[{index}]")
+    elif isinstance(expected, float) and math.isnan(expected):
+        assert math.isnan(actual), where
+    else:
+        assert actual == expected, where
+
+
+@pytest.fixture(scope="module")
+def fig09_payloads():
+    """One real fig09 payload per strategy (the grid's first benchmark)."""
+    from repro.analysis import figure_compile_jobs
+    from repro.service import CompileService
+
+    service = CompileService(enabled=False, remote_compile="")
+    payloads = {}
+    for job in figure_compile_jobs("fig09"):
+        if job.strategy not in payloads:
+            payloads[job.strategy] = service.compile(job).to_dict()
+    return payloads
+
+
+class TestEntryFormat:
+    """The binary entry format at rest: exact round trips, damage is a miss."""
+
+    def test_fig09_payloads_round_trip_type_exactly(self, tmp_path, fig09_payloads):
+        backend = LocalFSBackend(tmp_path)
+        saw_nan = False
+        for index, (strategy, payload) in enumerate(sorted(fig09_payloads.items())):
+            key = f"{index:02x}" + "e" * 62
+            backend.put(key, payload)
+            assert_same_payload(backend.get(key), payload, strategy)
+            saw_nan |= any(
+                isinstance(value, float) and math.isnan(value)
+                for value in payload["separations"]
+            )
+        assert saw_nan, "no fig09 payload exercised a NaN separation"
+
+    def test_empty_and_truncated_entries_are_misses(self, tmp_path, fig09_payloads):
+        backend = LocalFSBackend(tmp_path)
+        backend.put(KEY_A, fig09_payloads["ColorDynamic"])
+        path = backend._path(KEY_A)
+        data = path.read_bytes()
+        offsets = sorted({0, 1, len(data) - 1, *range(0, len(data), max(1, len(data) // 64))})
+        for offset in offsets:
+            path.write_bytes(data[:offset])
+            assert backend.get(KEY_A) is None, f"truncated at {offset} of {len(data)}"
+        path.write_bytes(data)
+        assert backend.get(KEY_A) is not None
+
+    def test_non_dict_entry_is_a_miss(self, tmp_path):
         backend = LocalFSBackend(tmp_path)
         backend.put(KEY_A, entry_payload("a"))
-        backend.put(KEY_B, entry_payload("b"))
-        backend._index_path.write_text(
-            json.dumps({"version": 1, "entries": {}, "total_bytes": 0})
-        )
-        removed, _ = backend.evict(0)
-        assert removed == 2
+        backend._path(KEY_A).write_bytes(marshal.dumps([1, 2, 3], 4))
+        assert backend.get(KEY_A) is None
+
+    def test_pre_binary_json_entry_is_stale_never_read(self, tmp_path):
+        backend = LocalFSBackend(tmp_path)
+        legacy = backend._path(KEY_A).with_suffix(".json")
+        legacy.parent.mkdir(parents=True)
+        legacy.write_text(json.dumps(entry_payload("a")))
+        assert backend.get(KEY_A) is None
+        assert not backend.contains(KEY_A)
         assert list(backend.keys()) == []
+        stats = backend.stats()
+        assert stats["entries"] == 0 and stats["total_bytes"] == 0
+        assert stats["stale_entries"] == 1
+        assert backend.clear() == 1
+        assert not legacy.exists()
 
 
 class TestTieredStore:
@@ -444,6 +479,20 @@ class TestListingValidation:
             backend = HTTPBackend(url)
             assert list(backend.keys()) == []
             assert backend.errors == 0
+
+
+class TestEntryValidation:
+    """`get()` must never turn a non-object entry payload into a hit."""
+
+    @pytest.mark.parametrize("body", [b"[]", b'"x"', b"42", b"null"])
+    def test_non_object_entry_is_a_miss_and_a_failure(self, tmp_path, body):
+        with stub_server(body) as url:
+            remote = HTTPBackend(url)
+            tiered = TieredStore(LocalFSBackend(tmp_path), remote)
+            assert tiered.get(KEY_A) is None
+            assert remote.errors == 1
+            assert list(tiered.local.keys()) == []
+            assert tiered.local.stats()["entries"] == 0
 
 
 class TestBreakerMetricsPerRemote:

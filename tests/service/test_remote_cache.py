@@ -2,6 +2,7 @@
 and the two-process `cache serve` + `figure --remote-cache` workflow."""
 
 import json
+import marshal
 import urllib.error
 import urllib.request
 
@@ -82,8 +83,14 @@ class TestWireProtocol:
     def test_server_stores_entries_in_standard_layout(self, cache_server):
         HTTPBackend(cache_server.url).put(KEY, {"x": 1})
         expected = cache_server.backend._path(KEY)
+        assert expected == (
+            cache_server.backend.root
+            / f"v{PROGRAM_CODEC_VERSION}"
+            / KEY[:2]
+            / f"{KEY}.marshal"
+        )
         assert expected.is_file()
-        assert json.loads(expected.read_text()) == {"x": 1}
+        assert marshal.loads(expected.read_bytes()) == {"x": 1}
 
 
 class TestBackendCombinationBitIdentity:

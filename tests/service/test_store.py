@@ -43,7 +43,7 @@ class TestRoundTrip:
         store = ProgramStore(tmp_path)
         store.put(KEY_A, {"x": 1})
         files = [p.name for p in store._path(KEY_A).parent.iterdir()]
-        assert files == [f"{KEY_A}.json"]
+        assert files == [f"{KEY_A}.marshal"]
 
 
 class TestLayout:
@@ -51,7 +51,7 @@ class TestLayout:
         store = ProgramStore(tmp_path)
         store.put(KEY_A, {"x": 1})
         expected = (
-            tmp_path / f"v{PROGRAM_CODEC_VERSION}" / KEY_A[:2] / f"{KEY_A}.json"
+            tmp_path / f"v{PROGRAM_CODEC_VERSION}" / KEY_A[:2] / f"{KEY_A}.marshal"
         )
         assert expected.is_file()
 
@@ -93,24 +93,21 @@ class TestMaintenance:
 class TestConcurrentMaintenance:
     """stats()/clear() racing a concurrent writer must degrade, not raise."""
 
-    def _store_with_entries_and_no_index(self, tmp_path):
+    def _store_with_entries(self, tmp_path):
         store = ProgramStore(tmp_path)
         store.put(KEY_A, {"x": 1})
         store.put(KEY_B, {"y": 2})
-        # Force the next stats() onto the rebuild-scan path, where the
-        # listing-then-stat race window lives.
-        store.backend._index_path.unlink()
         return store
 
     def test_stats_tolerates_entry_deleted_mid_scan(self, tmp_path, monkeypatch):
         """Regression: a file deleted between iterdir and stat() is a miss,
         not a FileNotFoundError (e.g. `cache clear` racing `cache stats`)."""
-        store = self._store_with_entries_and_no_index(tmp_path)
+        store = self._store_with_entries(tmp_path)
         real_glob = Path.glob
 
         def racing_glob(self, pattern):
             for path in real_glob(self, pattern):
-                if path.name == f"{KEY_A}.json" and path.exists():
+                if path.name == f"{KEY_A}.marshal" and path.exists():
                     path.unlink()  # the concurrent writer wins the race
                 yield path
 
@@ -120,12 +117,12 @@ class TestConcurrentMaintenance:
         assert stats["total_bytes"] == store._path(KEY_B).stat().st_size
 
     def test_clear_tolerates_entries_vanishing_mid_walk(self, tmp_path, monkeypatch):
-        store = self._store_with_entries_and_no_index(tmp_path)
+        store = self._store_with_entries(tmp_path)
         real_glob = Path.glob
 
         def racing_glob(self, pattern):
             for path in real_glob(self, pattern):
-                if path.name == f"{KEY_A}.json" and path.exists():
+                if path.name == f"{KEY_A}.marshal" and path.exists():
                     path.unlink()
                 yield path
 
@@ -137,9 +134,8 @@ class TestConcurrentMaintenance:
         store = ProgramStore(tmp_path)
         store.put(KEY_A, {"x": 1})
         store.put(KEY_B, {"y": 2})
-        # Simulate another worker deleting an entry the index still lists:
-        # eviction re-derives the index from the filesystem and never
-        # trips over the stale record.
+        # Simulate another worker deleting an entry out of band: eviction
+        # scans the filesystem and never trips over the missing file.
         os.unlink(store._path(KEY_A))
         removed, _ = store.evict(0)
         assert removed == 1
