@@ -20,14 +20,13 @@ from PR to PR:
 
 from __future__ import annotations
 
-import gc
 import json
 import shutil
 import tempfile
 import time
 from pathlib import Path
 
-from benchlib import run_once
+from benchlib import frozen_heap, run_once
 
 from repro.analysis import figure_compile_jobs, format_table
 from repro.service import CompileService, ProgramStore
@@ -101,21 +100,8 @@ def _time_cold_path(jobs, indexed: bool, repeats: int):
 
 def _run_perf_suite():
     jobs = figure_compile_jobs("fig09")
-
-    # GC hygiene: in a full pytest session this suite runs after ~1500
-    # tests whose surviving objects make every collection expensive, and
-    # the warm batch (tens of thousands of short-lived decode allocations)
-    # pays for those collections while the compute-bound reference batch
-    # barely triggers any — skewing the ratio by context rather than by
-    # code.  Freeze the pre-existing heap out of the collector for the
-    # duration of the timings so standalone and in-suite runs measure the
-    # same thing.
-    gc.collect()
-    gc.freeze()
-    try:
+    with frozen_heap():
         return _run_perf_suite_frozen(jobs)
-    finally:
-        gc.unfreeze()
 
 
 def _run_perf_suite_frozen(jobs):

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import abc
 import contextlib
+import http.client
 import json
 import marshal
 import os
@@ -98,6 +99,12 @@ _KEY_PATTERN = re.compile(r"^[0-9a-f]{64}$")
 #: sets are chunked so a single request stays well under any server payload
 #: cap while a full figure grid (~110 entries) still moves in one or two.
 BATCH_CHUNK_ENTRIES = 100
+
+#: What a client call to a cache or compile server raises when the server is
+#: unreachable or dies mid-exchange: ``OSError`` (``URLError`` included) and
+#: ``http.client.HTTPException``, which covers a response cut off before its
+#: Content-Length (``IncompleteRead``) and a garbled status line.
+TRANSPORT_ERRORS = (OSError, http.client.HTTPException)
 
 # Store metrics (process-local; see docs/observability.md).  The breaker
 # series are labeled by remote ``host:port`` so two backends talking to
@@ -639,7 +646,7 @@ class HTTPBackend(StoreBackend):
                 self._note_failure()
                 _observe_op(start, "remote", "get", "error")
             return None
-        except (urllib.error.URLError, OSError, ValueError):
+        except (*TRANSPORT_ERRORS, ValueError):
             self._note_failure()
             _observe_op(start, "remote", "get", "error")
             return None
@@ -665,7 +672,7 @@ class HTTPBackend(StoreBackend):
                 self._note_failure()
                 _observe_op(start, "remote", "put", "error")
             return False
-        except (urllib.error.URLError, OSError):
+        except TRANSPORT_ERRORS:
             self._note_failure()
             _observe_op(start, "remote", "put", "error")
             return False
@@ -685,7 +692,7 @@ class HTTPBackend(StoreBackend):
             else:
                 self._note_failure()
             return False
-        except (urllib.error.URLError, OSError):
+        except TRANSPORT_ERRORS:
             self._note_failure()
             return False
         self._note_success()
@@ -705,7 +712,7 @@ class HTTPBackend(StoreBackend):
             with self._open("GET", f"/{self.format}/") as response:
                 listed = json.loads(response.read().decode("utf-8"))
             keys = listed.get("keys", [])
-        except (urllib.error.URLError, OSError, ValueError, AttributeError):
+        except (*TRANSPORT_ERRORS, ValueError, AttributeError):
             self._note_failure()
             return
         if not isinstance(keys, list) or not all(
@@ -732,7 +739,7 @@ class HTTPBackend(StoreBackend):
                 payload = json.loads(response.read().decode("utf-8"))
             if not isinstance(payload, dict):
                 raise ValueError("batch payload is not an object")
-        except (urllib.error.URLError, OSError, ValueError):
+        except (*TRANSPORT_ERRORS, ValueError):
             self._note_failure()
             _observe_op(start, "remote", f"batch_{endpoint}", "error")
             return None
@@ -797,7 +804,7 @@ class HTTPBackend(StoreBackend):
             else:
                 self._note_failure()
             return False
-        except (urllib.error.URLError, OSError):
+        except TRANSPORT_ERRORS:
             self._note_failure()
             return False
         self._note_success()
@@ -816,7 +823,7 @@ class HTTPBackend(StoreBackend):
                 stats = json.loads(response.read().decode("utf-8"))
             if not isinstance(stats, dict):
                 raise ValueError("stats payload is not an object")
-        except (urllib.error.URLError, OSError, ValueError):
+        except (*TRANSPORT_ERRORS, ValueError):
             self._note_failure()
             return {"url": self.url, "unreachable": True, **self.breaker_stats()}
         self._note_success()

@@ -20,6 +20,13 @@ Every service instance keeps hit/miss/latency statistics in ``stats``.
 A process-wide default instance is available via :func:`get_service`, and
 :func:`service_override` installs a replacement for a scoped block (the
 sweep runner uses this to honour per-run ``--cache-dir`` / ``--no-cache``).
+
+Each entry point runs with Python's cyclic garbage collector paused
+(``_GC_PAUSE``), so the short-lived containers one grid point's keying,
+decode, compile and store write allocate are collected once, after the call
+returns, instead of triggering full-heap rescans of every live program
+mid-call.  docs/architecture.md ("GC deferral in the compile service") has
+the measurements and the thread and fork rules.
 """
 
 from __future__ import annotations
@@ -27,6 +34,8 @@ from __future__ import annotations
 import concurrent.futures
 import copy
 import functools
+import gc
+import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -73,6 +82,44 @@ _COMPILE_COLD_SECONDS = get_metrics().histogram(
     "repro_compile_cold_seconds",
     "Cold compile latency of cache misses.",
 )
+
+
+class _GCPause:
+    """Pause the cyclic GC while any thread is inside a service entry point.
+
+    A context manager shared by every service instance in the process,
+    because the collector it pauses is process-wide.  Entries nest and
+    overlap across threads: a depth counter under a lock disables the
+    collector on the outermost entry only, and only if it was enabled
+    then; the exit that brings the depth back to zero re-enables it only
+    if it was enabled before — also when the body raised.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._was_enabled = False
+
+    def __enter__(self) -> None:
+        with self._lock:
+            if self._depth == 0:
+                self._was_enabled = gc.isenabled()
+                gc.disable()
+            self._depth += 1
+
+    def __exit__(self, *exc_info) -> None:
+        with self._lock:
+            self._depth -= 1
+            if self._depth == 0 and self._was_enabled:
+                gc.enable()
+
+
+_GC_PAUSE = _GCPause()
+
+#: What a stored or remote payload of the wrong shape raises while decoding
+#: (e.g. ``{"program": []}`` -> ``AttributeError`` on ``.get``); each is a
+#: miss followed by a recompile, never an error.
+_DECODE_ERRORS = (AttributeError, KeyError, TypeError, ValueError)
 
 
 def make_compiler(
@@ -385,7 +432,7 @@ class CompileService:
             result = CompilationResult.from_dict(
                 payload, device=self._compiler_for(job).device
             )
-        except (KeyError, TypeError, ValueError):
+        except _DECODE_ERRORS:
             return None
         if name is not None:
             result.program.name = name
@@ -443,7 +490,7 @@ class CompileService:
             # lets every program of a sweep share one Device (and its cached
             # spectator geometry) instead of rebuilding both per warm load.
             result = CompilationResult.from_dict(payload, device=device)
-        except (KeyError, TypeError, ValueError):
+        except _DECODE_ERRORS:
             return None
         elapsed_s = time.perf_counter() - start
         if name is not None:
@@ -487,15 +534,16 @@ class CompileService:
         ``compile_time_s`` and report only ``load_time_s`` for the
         deserialization.
         """
-        key: Optional[str] = None
-        if self.store is not None:
-            key = cache_key(compiler, circuit)
-            loaded = self._try_load(key, device=compiler.device, name=name)
-            if loaded is not None:
-                return loaded
-        result = compiler.compile(circuit, name=name)
-        self._record_miss(key, result, canonical_name=circuit.name)
-        return result
+        with _GC_PAUSE:
+            key: Optional[str] = None
+            if self.store is not None:
+                key = cache_key(compiler, circuit)
+                loaded = self._try_load(key, device=compiler.device, name=name)
+                if loaded is not None:
+                    return loaded
+            result = compiler.compile(circuit, name=name)
+            self._record_miss(key, result, canonical_name=circuit.name)
+            return result
 
     def compile(self, job: CompileJob, name: Optional[str] = None) -> CompilationResult:
         """Compile one grid point (cache-aware).
@@ -526,27 +574,30 @@ class CompileService:
             If the job names an unknown strategy, topology or benchmark
             family.
         """
-        key: Optional[str] = None
-        if self.store is not None:
-            key = self.job_key(job)
-            loaded = self._try_load(
-                key, device=self._compiler_for(job).device, name=name
-            )
-            if loaded is not None:
-                return loaded
-        client = self._remote_client()
-        if client is not None:
-            start = time.perf_counter()
-            payloads = client.compile_jobs([job])
-            round_trip_s = time.perf_counter() - start
-            if payloads:
-                adopted = self._adopt_remote(key, payloads[0], job, round_trip_s, name=name)
-                if adopted is not None:
-                    return adopted
-        circuit = self._circuit_for(job)
-        result = self._compiler_for(job).compile(circuit, name=name)
-        self._record_miss(key, result, canonical_name=circuit.name)
-        return result
+        with _GC_PAUSE:
+            key: Optional[str] = None
+            if self.store is not None:
+                key = self.job_key(job)
+                loaded = self._try_load(
+                    key, device=self._compiler_for(job).device, name=name
+                )
+                if loaded is not None:
+                    return loaded
+            client = self._remote_client()
+            if client is not None:
+                start = time.perf_counter()
+                payloads = client.compile_jobs([job])
+                round_trip_s = time.perf_counter() - start
+                if payloads:
+                    adopted = self._adopt_remote(
+                        key, payloads[0], job, round_trip_s, name=name
+                    )
+                    if adopted is not None:
+                        return adopted
+            circuit = self._circuit_for(job)
+            result = self._compiler_for(job).compile(circuit, name=name)
+            self._record_miss(key, result, canonical_name=circuit.name)
+            return result
 
     def compile_batch(
         self,
@@ -593,66 +644,74 @@ class CompileService:
                 raise ValueError(
                     f"names has {len(names)} entries for {len(jobs)} jobs"
                 )
-        keys = [self.job_key(job) for job in jobs]
-        first_job: Dict[str, CompileJob] = {}
-        first_name: Dict[str, Optional[str]] = {}
-        for index, (job, key) in enumerate(zip(jobs, keys)):
-            if key in first_job:
-                self.stats.deduplicated += 1
-                _COMPILE_REQUESTS.inc(outcome="dedup")
-            else:
-                first_job[key] = job
-                first_name[key] = names[index] if names is not None else None
+        with _GC_PAUSE:
+            keys = [self.job_key(job) for job in jobs]
+            first_job: Dict[str, CompileJob] = {}
+            first_name: Dict[str, Optional[str]] = {}
+            for index, (job, key) in enumerate(zip(jobs, keys)):
+                if key in first_job:
+                    self.stats.deduplicated += 1
+                    _COMPILE_REQUESTS.inc(outcome="dedup")
+                else:
+                    first_job[key] = job
+                    first_name[key] = names[index] if names is not None else None
 
-        resolved: Dict[str, CompilationResult] = {}
-        missing: List[Tuple[str, CompileJob]] = []
-        if self.store is not None and len(first_job) > 1:
-            # One batched round trip warms the local tier with every remote
-            # entry this batch will need (a no-op on local-only stores), so
-            # the per-key loads below never pay per-entry remote latency.
-            self.store.prefetch(list(first_job))
-        for key, job in first_job.items():
-            loaded = self._try_load(
-                key, device=self._compiler_for(job).device, name=first_name[key]
-            )
-            if loaded is not None:
-                resolved[key] = loaded
-            else:
-                missing.append((key, job))
+            resolved: Dict[str, CompilationResult] = {}
+            missing: List[Tuple[str, CompileJob]] = []
+            if self.store is not None and len(first_job) > 1:
+                # One batched round trip warms the local tier with every remote
+                # entry this batch will need (a no-op on local-only stores), so
+                # the per-key loads below never pay per-entry remote latency.
+                self.store.prefetch(list(first_job))
+            for key, job in first_job.items():
+                loaded = self._try_load(
+                    key, device=self._compiler_for(job).device, name=first_name[key]
+                )
+                if loaded is not None:
+                    resolved[key] = loaded
+                else:
+                    missing.append((key, job))
 
-        client = self._remote_client()
-        if missing and client is not None:
-            start = time.perf_counter()
-            payloads = client.compile_jobs([job for _, job in missing])
-            round_trip_share_s = (time.perf_counter() - start) / len(missing)
-            if payloads is not None:
-                still_missing: List[Tuple[str, CompileJob]] = []
-                for (key, job), payload in zip(missing, payloads):
-                    adopted = self._adopt_remote(
-                        key, payload, job, round_trip_share_s, name=first_name[key]
-                    )
-                    if adopted is None:
-                        still_missing.append((key, job))
-                    else:
-                        resolved[key] = adopted
-                missing = still_missing
+            client = self._remote_client()
+            if missing and client is not None:
+                start = time.perf_counter()
+                payloads = client.compile_jobs([job for _, job in missing])
+                round_trip_share_s = (time.perf_counter() - start) / len(missing)
+                if payloads is not None:
+                    still_missing: List[Tuple[str, CompileJob]] = []
+                    for (key, job), payload in zip(missing, payloads):
+                        adopted = self._adopt_remote(
+                            key, payload, job, round_trip_share_s, name=first_name[key]
+                        )
+                        if adopted is None:
+                            still_missing.append((key, job))
+                        else:
+                            resolved[key] = adopted
+                    missing = still_missing
 
         if len(missing) > 1 and max_workers > 1:
+            # Outside the pause: the pool forks its workers here, and a
+            # worker forked with the collector off would run without it
+            # for its whole life.
             compile_cold = functools.partial(
                 _compile_job_cold, indexed_kernels=self.indexed_kernels
             )
             with concurrent.futures.ProcessPoolExecutor(max_workers=max_workers) as pool:
                 cold = list(pool.map(compile_cold, [job for _, job in missing]))
-            for (key, _), result in zip(missing, cold):
-                self._record_miss(key, result)
-                resolved[key] = result
+            with _GC_PAUSE:
+                for (key, _), result in zip(missing, cold):
+                    self._record_miss(key, result)
+                    resolved[key] = result
         else:
-            for key, job in missing:
-                result = self._compiler_for(job).compile(
-                    self._circuit_for(job), name=first_name[key]
-                )
-                self._record_miss(key, result, canonical_name=self._circuit_for(job).name)
-                resolved[key] = result
+            with _GC_PAUSE:
+                for key, job in missing:
+                    result = self._compiler_for(job).compile(
+                        self._circuit_for(job), name=first_name[key]
+                    )
+                    self._record_miss(
+                        key, result, canonical_name=self._circuit_for(job).name
+                    )
+                    resolved[key] = result
 
         if names is None:
             return [resolved[key] for key in keys]

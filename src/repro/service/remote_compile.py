@@ -31,7 +31,7 @@ from dataclasses import asdict
 from typing import Callable, Dict, List, Optional
 
 from ..program import PROGRAM_CODEC_VERSION
-from .backends import CircuitBreaker, cache_token_default
+from .backends import TRANSPORT_ERRORS, CircuitBreaker, cache_token_default
 from .compile_service import CompileJob
 
 __all__ = ["RemoteCompileClient"]
@@ -161,7 +161,7 @@ class RemoteCompileClient:
                     else:
                         self._breaker.note_success()
                     return None
-            except (urllib.error.URLError, OSError, ValueError):
+            except (*TRANSPORT_ERRORS, ValueError):
                 self._breaker.note_failure()
                 if self._breaker.tripped:
                     return None

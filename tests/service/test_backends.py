@@ -411,42 +411,10 @@ class TestProgramStoreFacade:
 # ---------------------------------------------------------------------------
 # PR 8: listing validation, per-remote breaker metrics, batched transfer
 # ---------------------------------------------------------------------------
-import contextlib
-import threading
 import urllib.request
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro.service import backends as backends_mod
 from repro.service.backends import BATCH_CHUNK_ENTRIES
-
-
-@contextlib.contextmanager
-def stub_server(body: bytes, status: int = 200):
-    """A one-trick HTTP server answering every request with *body*."""
-
-    class _Stub(BaseHTTPRequestHandler):
-        def _answer(self):
-            self.send_response(status)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
-
-        do_GET = do_POST = do_PUT = _answer
-
-        def log_message(self, *args):
-            pass
-
-    httpd = ThreadingHTTPServer(("127.0.0.1", 0), _Stub)
-    thread = threading.Thread(target=httpd.serve_forever, daemon=True)
-    thread.start()
-    try:
-        host, port = httpd.server_address[:2]
-        yield f"http://{host}:{port}"
-    finally:
-        httpd.shutdown()
-        httpd.server_close()
-        thread.join(timeout=5)
 
 
 class TestListingValidation:
@@ -462,19 +430,19 @@ class TestListingValidation:
             b"[1, 2, 3]",  # listing is not even an object
         ],
     )
-    def test_malformed_listing_degrades_to_empty_and_counts(self, body):
+    def test_malformed_listing_degrades_to_empty_and_counts(self, stub_server, body):
         with stub_server(body) as url:
             backend = HTTPBackend(url)
             assert list(backend.keys()) == []
             assert backend.errors == 1
 
-    def test_valid_listing_passes_through(self):
+    def test_valid_listing_passes_through(self, stub_server):
         with stub_server(json.dumps({"keys": [KEY_A, KEY_B]}).encode()) as url:
             backend = HTTPBackend(url)
             assert list(backend.keys()) == [KEY_A, KEY_B]
             assert backend.errors == 0
 
-    def test_missing_keys_field_is_an_empty_healthy_listing(self):
+    def test_missing_keys_field_is_an_empty_healthy_listing(self, stub_server):
         with stub_server(b"{}") as url:
             backend = HTTPBackend(url)
             assert list(backend.keys()) == []
@@ -485,13 +453,44 @@ class TestEntryValidation:
     """`get()` must never turn a non-object entry payload into a hit."""
 
     @pytest.mark.parametrize("body", [b"[]", b'"x"', b"42", b"null"])
-    def test_non_object_entry_is_a_miss_and_a_failure(self, tmp_path, body):
+    def test_non_object_entry_is_a_miss_and_a_failure(self, tmp_path, stub_server, body):
         with stub_server(body) as url:
             remote = HTTPBackend(url)
             tiered = TieredStore(LocalFSBackend(tmp_path), remote)
             assert tiered.get(KEY_A) is None
             assert remote.errors == 1
             assert list(tiered.local.keys()) == []
+            assert tiered.local.stats()["entries"] == 0
+
+
+class TestTruncatedResponse:
+    """A server that dies mid-response is a failed call, never an exception."""
+
+    BODY = json.dumps(
+        {"entries": {KEY_A: entry_payload("a")}, "keys": [KEY_A], "stored": 1}
+    ).encode()
+
+    @pytest.mark.parametrize(
+        "call, failed",
+        [
+            (lambda backend: backend.get(KEY_A), None),
+            (lambda backend: backend.get_many([KEY_A, KEY_B]), {}),
+            (lambda backend: list(backend.keys()), []),
+            (lambda backend: backend.put_many({KEY_A: entry_payload("a")}), 0),
+            (lambda backend: backend.stats()["unreachable"], True),
+        ],
+        ids=["get", "get_many", "keys", "put_many", "stats"],
+    )
+    def test_read_is_a_failure(self, stub_server, call, failed):
+        with stub_server(self.BODY, truncate=True) as url:
+            backend = HTTPBackend(url, trip_after=10)
+            assert call(backend) == failed
+            assert backend.errors == 1
+
+    def test_tiered_get_falls_back_to_a_miss(self, tmp_path, stub_server):
+        with stub_server(self.BODY, truncate=True) as url:
+            tiered = TieredStore(LocalFSBackend(tmp_path), HTTPBackend(url))
+            assert tiered.get(KEY_A) is None
             assert tiered.local.stats()["entries"] == 0
 
 
@@ -528,7 +527,7 @@ class TestBatchedTransfer:
         assert found == entries  # KEY_C is simply absent, not an error
 
     @pytest.mark.parametrize("status", [404, 405, 501])
-    def test_unanswered_batch_route_is_a_failed_batch(self, status):
+    def test_unanswered_batch_route_is_a_failed_batch(self, stub_server, status):
         with stub_server(b'{"error": "no such route"}', status=status) as url:
             backend = HTTPBackend(url, trip_after=10)
             assert backend.get_many([KEY_A, KEY_B]) == {}

@@ -1,8 +1,14 @@
-"""CompileService: hit/miss accounting, batch dedup, fan-out, overrides."""
+"""CompileService: hit/miss accounting, batch dedup, fan-out, overrides,
+and the cyclic-GC pause around each entry point."""
+
+import concurrent.futures
+import gc
+import threading
 
 import pytest
 
 from repro import Device, benchmark_circuit, estimate_success
+from repro.analysis import figure_compile_jobs
 from repro.core import ColorDynamic
 from repro.service import (
     CompileJob,
@@ -13,6 +19,16 @@ from repro.service import (
 )
 
 JOB = CompileJob(benchmark="bv(4)", strategy="ColorDynamic")
+
+
+class CannedRemote:
+    """Stands in for the remote compile client: every job gets *payload*."""
+
+    def __init__(self, payload):
+        self.payload = payload
+
+    def compile_jobs(self, jobs):
+        return [self.payload for _ in jobs]
 
 
 class TestSingleCompile:
@@ -87,18 +103,29 @@ class TestSingleCompile:
         default = service.compile_circuit(ColorDynamic(device), circuit)
         assert default.program.name == circuit.name
 
-    def test_undecodable_entry_recompiles(self, tmp_path):
-        """Valid JSON of the wrong shape degrades to a miss, not a crash."""
-        service = CompileService(cache_dir=tmp_path)
-        service.compile(JOB)
-        key = service.job_key(JOB)
-        service.store.put(key, {})  # bit rot / foreign file: wrong shape
-        again = CompileService(cache_dir=tmp_path)
-        result = again.compile(JOB)
+    @pytest.mark.parametrize("source", ["store", "remote"])
+    @pytest.mark.parametrize(
+        "payload", [{}, {"program": []}, {"program": "x"}], ids=["empty", "list", "str"]
+    )
+    def test_undecodable_entry_recompiles(self, tmp_path, source, payload):
+        """A payload of the wrong shape degrades to a miss, not a crash.
+
+        Stored (bit rot, hand-edited cache, foreign file) or served by a
+        remote compile server alike.
+        """
+        if source == "store":
+            CompileService(cache_dir=tmp_path).compile(JOB)
+            service = CompileService(cache_dir=tmp_path)
+            service.store.put(service.job_key(JOB), payload)
+        else:
+            service = CompileService(cache_dir=tmp_path, remote_compile="http://127.0.0.1:9")
+            service._remote_client_instance = CannedRemote(payload)
+        result = service.compile(JOB)
         assert result.cache_hit is False
-        assert again.stats.misses == 1
+        assert service.stats.misses == 1
+        assert service.stats.remote_compiles == 0
         # The recompile repaired the entry.
-        assert again.compile(JOB).cache_hit is True
+        assert service.compile(JOB).cache_hit is True
 
 
 class TestBatch:
@@ -167,3 +194,132 @@ class TestServiceOverride:
         service = CompileService(cache_dir=tmp_path)
         with pytest.raises(ValueError, match="unknown strategy"):
             service.compile(CompileJob(benchmark="bv(4)", strategy="Magic"))
+
+
+class _ProbePool(concurrent.futures.ProcessPoolExecutor):
+    """Records, before any job, whether a worker's cyclic GC is enabled."""
+
+    worker_gc = []
+
+    def map(self, fn, *iterables, **kwargs):
+        _ProbePool.worker_gc.append(self.submit(gc.isenabled).result(timeout=60))
+        return super().map(fn, *iterables, **kwargs)
+
+
+@pytest.fixture()
+def gc_enabled_after():
+    """Leave the collector enabled whatever the test did to it."""
+    yield
+    gc.enable()
+
+
+class TestGCDeferral:
+    """Every entry point runs with the cyclic GC paused, then restores it."""
+
+    GRID = [JOB, CompileJob(benchmark="xeb(4,2)", strategy="Baseline U")]
+
+    @pytest.mark.parametrize("caller_enabled", [True, False], ids=["enabled", "disabled"])
+    def test_paused_inside_and_caller_state_restored(
+        self, tmp_path, monkeypatch, gc_enabled_after, caller_enabled
+    ):
+        seen = []
+        real_try_load = CompileService._try_load
+
+        def probe(service, *args, **kwargs):
+            seen.append(gc.isenabled())
+            return real_try_load(service, *args, **kwargs)
+
+        monkeypatch.setattr(CompileService, "_try_load", probe)
+        service = CompileService(cache_dir=tmp_path)
+        device = Device.grid(4, seed=5)
+        circuit = benchmark_circuit("bv(4)", seed=5)
+        if not caller_enabled:
+            gc.disable()
+        after = []
+        for call in (
+            lambda: service.compile(JOB),
+            lambda: service.compile_circuit(ColorDynamic(device), circuit),
+            lambda: service.compile_batch(self.GRID),
+        ):
+            call()
+            after.append(gc.isenabled())
+        assert len(seen) == 4 and not any(seen)
+        assert after == [caller_enabled] * 3
+
+    def test_state_restored_when_the_call_raises(self, tmp_path, gc_enabled_after):
+        service = CompileService(cache_dir=tmp_path)
+        with pytest.raises(ValueError, match="unknown strategy"):
+            service.compile(CompileJob(benchmark="bv(4)", strategy="Magic"))
+        assert gc.isenabled()
+        with pytest.raises(ValueError, match="unknown strategy"):
+            service.compile_batch([CompileJob(benchmark="bv(4)", strategy="Magic")])
+        assert gc.isenabled()
+
+    def test_overlapping_threads_leave_gc_enabled(
+        self, tmp_path, monkeypatch, gc_enabled_after
+    ):
+        entered = {name: threading.Event() for name in ("a", "b")}
+        release = {name: threading.Event() for name in ("a", "b")}
+
+        def parked_try_load(service, key, device=None, name=None):
+            entered[name].set()
+            assert release[name].wait(timeout=60)
+            return None
+
+        monkeypatch.setattr(CompileService, "_try_load", parked_try_load)
+        service = CompileService(cache_dir=tmp_path)
+        threads = {
+            name: threading.Thread(target=service.compile, args=(JOB,), kwargs={"name": name})
+            for name in ("a", "b")
+        }
+        for name in ("a", "b"):
+            threads[name].start()
+            assert entered[name].wait(timeout=60)
+        try:
+            assert not gc.isenabled()
+            release["a"].set()
+            threads["a"].join(timeout=60)
+            assert not threads["a"].is_alive()
+            assert not gc.isenabled()  # "b" is still inside
+        finally:
+            release["a"].set()
+            release["b"].set()
+            threads["b"].join(timeout=60)
+        assert not threads["b"].is_alive()
+        assert gc.isenabled()
+
+    def test_pool_workers_start_with_the_callers_gc_state(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _ProbePool)
+        monkeypatch.setattr(_ProbePool, "worker_gc", [])
+        results = CompileService(cache_dir=tmp_path).compile_batch(self.GRID, max_workers=2)
+        assert len(results) == len(self.GRID)
+        assert _ProbePool.worker_gc == [True]
+        assert gc.isenabled()
+
+    def test_no_collection_starts_inside_compile_on_a_warm_fig09_pass(self, tmp_path):
+        jobs = figure_compile_jobs("fig09")
+        CompileService(cache_dir=tmp_path).compile_batch(jobs)
+        service = CompileService(cache_dir=tmp_path)
+        inside = [False]
+        started = []
+
+        def probe(phase, info):
+            if phase == "start" and inside[0]:
+                started.append(info["generation"])
+
+        gc.callbacks.append(probe)
+        try:
+            for job in jobs:
+                inside[0] = True
+                try:
+                    result = service.compile(job)
+                finally:
+                    inside[0] = False
+                # The pass scores each point, as a sweep does; the call's
+                # deferred collection runs at the first allocation after it
+                # returns, so in here.
+                assert result.cache_hit
+                estimate_success(result.program)
+        finally:
+            gc.callbacks.remove(probe)
+        assert started == []

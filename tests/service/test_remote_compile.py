@@ -424,6 +424,38 @@ class TestServiceRouting:
         assert service.stats.compile_time_s == 0.0  # nothing compiled locally
 
 
+def program_fields(result):
+    """The program codec of *result* minus its one volatile field."""
+    program = result.to_dict()["program"]
+    program["metadata"].pop("compile_time_s", None)
+    return program
+
+
+class TestServerDiesMidResponse:
+    """A compile response cut off before its Content-Length is a failure."""
+
+    JOBS = [JOB, OTHER_JOB, CompileJob(benchmark="xeb(4,2)", strategy="Baseline U")]
+
+    def body(self):
+        return json.dumps({"results": [{"payload": {}} for _ in self.JOBS]}).encode()
+
+    def test_client_counts_it_against_the_breaker(self, stub_server):
+        with stub_server(self.body(), truncate=True) as url:
+            client = RemoteCompileClient(url, trip_after=1, sleep=lambda s: None)
+            assert client.compile_jobs(self.JOBS) is None
+            assert client.tripped is True
+
+    def test_batch_falls_back_to_bit_identical_local_compiles(self, tmp_path, stub_server):
+        with stub_server(self.body(), truncate=True) as url:
+            service = CompileService(cache_dir=str(tmp_path / "local"), remote_compile=url)
+            service._remote_client_instance = RemoteCompileClient(url, sleep=lambda s: None)
+            results = service.compile_batch(self.JOBS)
+        assert service.stats.remote_compiles == 0
+        assert service.stats.misses == len(self.JOBS)
+        plain = CompileService(enabled=False, remote_compile="").compile_batch(self.JOBS)
+        assert [program_fields(r) for r in results] == [program_fields(r) for r in plain]
+
+
 class TestRemoteCompileCLI:
     def test_serve_flags_reach_the_server(self, tmp_path):
         args = build_parser().parse_args(
